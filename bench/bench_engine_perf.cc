@@ -1,12 +1,11 @@
 // Copyright (c) the ROD reproduction authors.
 //
 // Perf baseline of the tuple-level simulation engine. Sweeps graph size x
-// offered load on the single-run hot path (calendar queue + streaming
-// latency metrics vs the legacy binary-heap + store-all-percentiles
-// configuration, both in this binary) and the sweep runner (N independent
-// runs across the thread pool), reporting events/sec, tuples/sec, sweep
-// wall time, and bit-exactness between every configuration pair that must
-// agree. Also times the hot path with a telemetry sink attached, so the
+// offered load on the single-run hot path (batched delivery vs the
+// per-tuple batch_size = 1 path, both in this binary) and the sweep
+// runner (N independent runs across the thread pool), reporting
+// events/sec, tuples/sec, sweep wall time, and bit-exactness between
+// every configuration pair that must agree. Also times the hot path with a telemetry sink attached, so the
 // enabled-telemetry overhead is part of the baseline, and runs a small
 // telemetry-enabled showcase (chaos run + parallel sweep) whose metrics
 // snapshot is embedded in the JSON and whose Chrome trace --trace exports.
@@ -15,14 +14,11 @@
 //
 //   bench_engine_perf [--mode smoke|full] [--json=PATH] [--trace=PATH]
 //                     [--threads=1,2,4,8] [--max-telemetry-overhead=PCT]
-//                     [--min-speedup=X]
 //
 // --mode smoke shrinks the sweep for CI; --json defaults to
-// BENCH_engine.json. Exit code is nonzero iff a bit-exactness check fails,
-// the enabled-telemetry overhead on the largest workload exceeds
-// --max-telemetry-overhead, or the batch-mode speedup over the legacy
-// engine on the largest workload falls below --min-speedup (both gates
-// default to 0 = disabled).
+// BENCH_engine.json. Exit code is nonzero iff a bit-exactness check fails
+// or the enabled-telemetry overhead on the largest workload exceeds
+// --max-telemetry-overhead (default 0 = disabled).
 
 #include <algorithm>
 #include <array>
@@ -63,17 +59,10 @@ struct SingleRun {
   uint64_t events = 0;  ///< Events per rep (identical across reps).
   size_t input_tuples = 0;
   size_t output_tuples = 0;
-  /// kBinaryHeap + exact (store-all) percentiles + batch_size 1: the
-  /// engine exactly as it stood before the calendar queue, streaming
-  /// latency metrics, and delivery batching landed.
-  double legacy_events_per_sec = 0.0;
-  double events_per_sec = 0.0;  ///< kCalendar + streaming + batching.
+  double events_per_sec = 0.0;  ///< Default options (batching on).
   double tuples_per_sec = 0.0;
   double batch1_events_per_sec = 0.0;  ///< Fast path with batching off.
-  double speedup_vs_legacy = 0.0;
-  bool bitexact_vs_heap = false;    ///< fast == heap+streaming, same batch.
   bool bitexact_vs_batch1 = false;  ///< fast == batch_size 1, incl. p99.
-  bool batch1_vs_legacy = false;    ///< batch1 == legacy (SameResult).
   double telemetry_events_per_sec = 0.0;  ///< Fast path + telemetry sink.
   double telemetry_overhead_pct = 0.0;    ///< 100 * (off/on - 1), by ev/s.
   bool bitexact_vs_telemetry = false;
@@ -170,14 +159,10 @@ void WriteJson(const std::string& path, const std::string& mode,
     w.Key("events").Uint(r.events);
     w.Key("input_tuples").Uint(r.input_tuples);
     w.Key("output_tuples").Uint(r.output_tuples);
-    w.Key("legacy_events_per_sec").Double(r.legacy_events_per_sec);
     w.Key("events_per_sec").Double(r.events_per_sec);
     w.Key("tuples_per_sec").Double(r.tuples_per_sec);
     w.Key("batch1_events_per_sec").Double(r.batch1_events_per_sec);
-    w.Key("speedup_vs_legacy").Double(r.speedup_vs_legacy);
-    w.Key("bitexact_vs_heap").Bool(r.bitexact_vs_heap);
     w.Key("bitexact_vs_batch1").Bool(r.bitexact_vs_batch1);
-    w.Key("batch1_vs_legacy").Bool(r.batch1_vs_legacy);
     w.Key("telemetry_events_per_sec").Double(r.telemetry_events_per_sec);
     w.Key("telemetry_overhead_pct").Double(r.telemetry_overhead_pct);
     w.Key("bitexact_vs_telemetry").Bool(r.bitexact_vs_telemetry);
@@ -213,7 +198,6 @@ int main(int argc, char** argv) {
                                                   : flags.json_path;
   std::vector<size_t> threads_list;
   double max_telemetry_overhead = 0.0;  // 0 disables the check
-  double min_speedup = 0.0;             // 0 disables the check
   for (size_t a = 0; a < flags.rest.size(); ++a) {
     const std::string& arg = flags.rest[a];
     if (arg == "--mode" && a + 1 < flags.rest.size()) {
@@ -224,12 +208,10 @@ int main(int argc, char** argv) {
       threads_list = bench::ParseThreadList(arg.substr(10));
     } else if (arg.rfind("--max-telemetry-overhead=", 0) == 0) {
       max_telemetry_overhead = std::stod(arg.substr(25));
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::stod(arg.substr(14));
     } else {
       std::cerr << "usage: bench_engine_perf [--mode smoke|full] "
                    "[--json=PATH] [--trace=PATH] [--threads=1,2,4,8] "
-                   "[--max-telemetry-overhead=PCT] [--min-speedup=X] "
+                   "[--max-telemetry-overhead=PCT] "
                    "[--serve=PORT] [--flightrecorder=PATH]\n";
       return 2;
     }
@@ -252,8 +234,8 @@ int main(int argc, char** argv) {
                          : std::vector<size_t>{1, 2, 4, 8};
   }
 
-  // Graph size x offered load; the last entry is the "largest smoke
-  // configuration" the acceptance criterion pins the single-run speedup to.
+  // Graph size x offered load; the telemetry-overhead gate reads the last
+  // (largest) entry.
   const std::vector<Workload> workloads =
       smoke ? std::vector<Workload>{{2, 10, 0.5}, {4, 25, 0.8}}
             : std::vector<Workload>{{2, 10, 0.5}, {4, 25, 0.5}, {4, 25, 0.8},
@@ -265,10 +247,9 @@ int main(int argc, char** argv) {
   const double sweep_duration = smoke ? 6.0 : 12.0;
   const size_t sweep_cases = smoke ? 6 : 16;
 
-  bench::Banner("engine single-run hot path (calendar+streaming vs legacy)");
-  bench::Table single_table({"streams", "ops", "load", "events", "legacy ev/s",
-                             "b1 ev/s", "new ev/s", "speedup", "tel ev/s",
-                             "tel ovh%", "bitexact"});
+  bench::Banner("engine single-run hot path (batched vs per-tuple)");
+  bench::Table single_table({"streams", "ops", "load", "events", "b1 ev/s",
+                             "ev/s", "tel ev/s", "tel ovh%", "bitexact"});
   std::vector<SingleRun> singles;
   bool all_bitexact = true;
 
@@ -277,21 +258,10 @@ int main(int argc, char** argv) {
 
     sim::SimulationOptions fast;
     fast.duration = duration;
-    fast.event_queue = sim::EventQueueImpl::kCalendar;
     // A realistic metro-area hop keeps many deliveries in flight, so the
     // event queue runs deep enough to exercise the queue kernel
     // (identical for every configuration; does not affect bit-exactness).
     fast.network_latency = 10e-3;
-    // `legacy` is the engine as it stood before the calendar queue,
-    // streaming latency metrics, and delivery batching: binary heap,
-    // store-all percentiles (with their full final sort), one event per
-    // delivered tuple.
-    sim::SimulationOptions legacy = fast;
-    legacy.event_queue = sim::EventQueueImpl::kBinaryHeap;
-    legacy.exact_percentiles = true;
-    legacy.batch_size = 1;
-    sim::SimulationOptions heap_fast = fast;  // heap + streaming: isolates
-    heap_fast.event_queue = sim::EventQueueImpl::kBinaryHeap;
     sim::SimulationOptions batch1 = fast;  // batching off: isolates batching
     batch1.batch_size = 1;
     // Fast path with a live telemetry sink: the enabled-overhead column.
@@ -306,15 +276,16 @@ int main(int argc, char** argv) {
                                    : &run_telemetry;
 
     // All configurations are timed with their reps interleaved
-    // round-robin (fast, legacy, ... fast, legacy, ...) rather than one
+    // round-robin (fast, batch1, ... fast, batch1, ...) rather than one
     // configuration at a time: on shared hardware the machine's
     // throughput drifts over the seconds a workload takes, and
     // interleaving exposes every configuration to the same drift, which
-    // stabilizes the speedup ratios even when the absolute numbers move.
+    // stabilizes the ratios between them (the telemetry overhead) even
+    // when the absolute numbers move.
     // Best-of-reps then filters scheduler noise per configuration.
-    enum Config { kFast, kLegacy, kHeapFast, kBatch1, kTelemetry, kConfigs };
+    enum Config { kFast, kBatch1, kTelemetry, kConfigs };
     const std::array<const sim::SimulationOptions*, kConfigs> configs = {
-        &fast, &legacy, &heap_fast, &batch1, &fast_telemetry};
+        &fast, &batch1, &fast_telemetry};
     std::array<double, kConfigs> best{};
     std::array<sim::SimulationResult, kConfigs> results;
     for (const sim::SimulationOptions* options : configs) {
@@ -346,25 +317,14 @@ int main(int argc, char** argv) {
     r.events = results[kFast].processed_events;
     r.input_tuples = results[kFast].input_tuples;
     r.output_tuples = results[kFast].output_tuples;
-    r.legacy_events_per_sec = static_cast<double>(r.events) / best[kLegacy];
     r.events_per_sec = static_cast<double>(r.events) / best[kFast];
     r.tuples_per_sec = static_cast<double>(r.input_tuples) / best[kFast];
     r.batch1_events_per_sec = static_cast<double>(r.events) / best[kBatch1];
-    r.speedup_vs_legacy = r.events_per_sec / r.legacy_events_per_sec;
-    // Calendar + streaming must equal heap + streaming bit-for-bit (the
-    // percentile mode is allowed to differ from `legacy`, the queue not).
-    r.bitexact_vs_heap =
-        SameResult(results[kFast], results[kHeapFast]) &&
-        results[kFast].p99_latency == results[kHeapFast].p99_latency;
     // Delivery batching is bit-exact for every batch size (see engine.cc),
     // so turning it off must not move a bit either.
     r.bitexact_vs_batch1 =
         SameResult(results[kFast], results[kBatch1]) &&
         results[kFast].p99_latency == results[kBatch1].p99_latency;
-    // batch=1 vs the legacy engine: identical results up to the latency
-    // percentile mode (SameResult covers counts, mean/max latency,
-    // utilization, backlog — the fields both modes compute exactly).
-    r.batch1_vs_legacy = SameResult(results[kBatch1], results[kLegacy]);
     // Telemetry is observation-only, so attaching it must not move a bit.
     r.bitexact_vs_telemetry =
         SameResult(results[kFast], results[kTelemetry]) &&
@@ -373,23 +333,17 @@ int main(int argc, char** argv) {
         static_cast<double>(r.events) / best[kTelemetry];
     r.telemetry_overhead_pct =
         100.0 * (r.events_per_sec / r.telemetry_events_per_sec - 1.0);
-    all_bitexact = all_bitexact && r.bitexact_vs_heap &&
-                   r.bitexact_vs_batch1 && r.batch1_vs_legacy &&
-                   r.bitexact_vs_telemetry;
+    all_bitexact =
+        all_bitexact && r.bitexact_vs_batch1 && r.bitexact_vs_telemetry;
     singles.push_back(r);
     single_table.AddRow(
         {std::to_string(w.streams), std::to_string(w.total_ops()),
          bench::Fmt(w.load_level, 1), std::to_string(r.events),
-         bench::Fmt(r.legacy_events_per_sec / 1e6, 2),
          bench::Fmt(r.batch1_events_per_sec / 1e6, 2),
          bench::Fmt(r.events_per_sec / 1e6, 2),
-         bench::Fmt(r.speedup_vs_legacy, 2),
          bench::Fmt(r.telemetry_events_per_sec / 1e6, 2),
          bench::Fmt(r.telemetry_overhead_pct, 1),
-         r.bitexact_vs_heap && r.bitexact_vs_batch1 && r.batch1_vs_legacy &&
-                 r.bitexact_vs_telemetry
-             ? "yes"
-             : "NO"});
+         r.bitexact_vs_batch1 && r.bitexact_vs_telemetry ? "yes" : "NO"});
   }
   single_table.Print();
 
@@ -525,19 +479,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool speedup_ok = true;
-  if (min_speedup > 0.0) {
-    // Machine-independent form of the acceptance gate: batch-mode
-    // events/sec vs the legacy engine measured in this same binary on
-    // this same machine, at the largest workload.
-    const double worst = singles.back().speedup_vs_legacy;
-    speedup_ok = worst >= min_speedup;
-    std::cout << "speedup vs legacy on largest workload: "
-              << bench::Fmt(worst, 2) << "x (floor "
-              << bench::Fmt(min_speedup, 2)
-              << "x): " << (speedup_ok ? "ok" : "BELOW FLOOR") << "\n";
-  }
-
   bool overhead_ok = true;
   if (max_telemetry_overhead > 0.0) {
     const double worst = singles.back().telemetry_overhead_pct;
@@ -553,5 +494,5 @@ int main(int argc, char** argv) {
   WriteJson(json_path, mode, singles, sweeps, showcase.Snapshot());
   std::cout << "wrote " << json_path << " (" << singles.size()
             << " single runs, " << sweeps.size() << " sweep points)\n";
-  return all_bitexact && overhead_ok && speedup_ok ? 0 : 1;
+  return all_bitexact && overhead_ok ? 0 : 1;
 }

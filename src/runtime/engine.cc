@@ -27,6 +27,17 @@ namespace {
 /// (external arrivals, migration replays, orphan re-homing).
 constexpr uint32_t kNoUpstream = UINT32_MAX;
 
+/// Width of a utilization window (virtual seconds).
+constexpr double kUtilizationWindow = 1.0;
+
+/// Incident report: per-window max busy fraction below which the cluster
+/// counts as recovered after a crash.
+constexpr double kRecoveredUtilization = 0.95;
+
+/// Latency samples kept per series by the streaming summary (runs without
+/// a failure schedule); mean and max stay exact.
+constexpr size_t kLatencyReservoir = 8192;
+
 /// Tuples travelling between nodes, stored as columnar batches (constant
 /// network latency makes the delivery order FIFO, so queues suffice).
 /// Structure-of-arrays: one FIFO column per tuple field, popped in
@@ -210,8 +221,8 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   if (inputs.size() != deployment.num_inputs()) {
     return Status::InvalidArgument("one rate trace per input stream required");
   }
-  if (options.duration <= 0.0 || options.utilization_window <= 0.0) {
-    return Status::InvalidArgument("duration and window must be positive");
+  if (options.duration <= 0.0) {
+    return Status::InvalidArgument("duration must be positive");
   }
   if (options.warmup < 0.0 || options.warmup >= options.duration) {
     return Status::InvalidArgument("warmup must lie in [0, duration)");
@@ -294,12 +305,12 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   };
 
   while (ws.nodes.size() < num_nodes) {
-    ws.nodes.emplace_back(1.0, options.scheduling);
+    ws.nodes.emplace_back(1.0);
   }
   ws.nodes.erase(ws.nodes.begin() + static_cast<ptrdiff_t>(num_nodes),
                  ws.nodes.end());
   for (size_t i = 0; i < num_nodes; ++i) {
-    ws.nodes[i].Reset(dep.system.capacities[i], options.scheduling);
+    ws.nodes[i].Reset(dep.system.capacities[i]);
   }
   auto& nodes = ws.nodes;
   const bool bounded = options.queue_bound.capacity > 0;
@@ -378,23 +389,19 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   Rng control_rng(options.seed ^ 0x0ddba11c0ffee5ULL);
 
   // Latency collection: fixed-memory streaming summary on the hot path;
-  // exact store-all mode for tests and for incident analysis (the phase
-  // split needs the full timed series).
+  // exact store-all mode for incident analysis (the phase split needs the
+  // full timed series).
   LatencyStatsOptions lat_opts;
-  if (!options.exact_percentiles && options.failures == nullptr) {
-    lat_opts.reservoir = options.latency_reservoir;
+  if (options.failures == nullptr) {
+    lat_opts.reservoir = kLatencyReservoir;
     // Independent of the run's random streams: derived by constant
     // mixing, never by drawing from `master`.
     lat_opts.seed = options.seed ^ 0x5ca1ab1e0ddba11ULL;
   }
-  MetricsCollector metrics(num_nodes, options.utilization_window,
-                           options.duration, lat_opts);
+  MetricsCollector metrics(num_nodes, kUtilizationWindow, options.duration,
+                           lat_opts);
 
-  if (ws.events.impl() != options.event_queue) {
-    ws.events = EventQueue(options.event_queue);
-  } else {
-    ws.events.Clear();
-  }
+  ws.events.Clear();
   // Unconditional: the pooled queue must not keep a stale sink across runs.
   ws.events.set_telemetry(tel);
   ws.events.Reserve(2 * num_nodes + inputs.size() + 64);
@@ -1181,10 +1188,10 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
                               : incident.crash_time;
     const size_t num_w = metrics.num_windows();
     const size_t start_w = std::min(
-        num_w, static_cast<size_t>(anchor / options.utilization_window));
+        num_w, static_cast<size_t>(anchor / kUtilizationWindow));
     size_t recovered_w = num_w;
     for (size_t w = num_w; w-- > start_w;) {
-      if (metrics.WindowMaxBusyFraction(w) < options.recovered_utilization) {
+      if (metrics.WindowMaxBusyFraction(w) < kRecoveredUtilization) {
         recovered_w = w;
       } else {
         break;
@@ -1193,8 +1200,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
     double recovery_abs = options.duration;
     if (recovered_w < num_w) {
       incident.recovered = true;
-      recovery_abs =
-          static_cast<double>(recovered_w) * options.utilization_window;
+      recovery_abs = static_cast<double>(recovered_w) * kUtilizationWindow;
       incident.recovery_time =
           std::max(0.0, recovery_abs - incident.crash_time);
       for (size_t w = recovered_w; w < num_w; ++w) {
@@ -1232,7 +1238,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
     tel->Count("engine.events_processed", result.processed_events);
     tel->Count("engine.input_tuples", result.input_tuples);
     tel->Count("engine.output_tuples", result.output_tuples);
-    tel->Count("engine.shed_tuples", result.shed_tuples);
+    tel->Count("engine.inputs_shed", result.shed_tuples);
     // Overload families are registered (at zero) on every instrumented
     // run, so the live plane always exposes them.
     tel->Count("engine.tuples_shed", ov.total_shed());

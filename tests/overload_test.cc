@@ -14,6 +14,7 @@
 #include "runtime/chaos.h"
 #include "runtime/engine.h"
 #include "runtime/supervisor.h"
+#include "telemetry/telemetry.h"
 
 namespace rod::sim {
 namespace {
@@ -345,6 +346,35 @@ TEST(OverloadControlTest, SustainedBreachConsultsAgentAndShedRecovers) {
   EXPECT_GT(first.observed_rates[0], 0.0);
   // The shed drained the queue below the clear threshold at least once.
   EXPECT_FALSE(agent.cleared.empty());
+}
+
+TEST(OverloadControlTest, ShedCountersMatchResultFields) {
+  // The two telemetry shed counters name different quantities:
+  // engine.inputs_shed is SimulationResult::shed_tuples (external tuples
+  // dropped at every consumer) and engine.tuples_shed is
+  // OverloadStats::total_shed() (edge + overflow + directive). Internal
+  // dataflow dropped at the heavy node's full queue tells them apart.
+  const ChainScenario s;
+  SheddingAgent agent(0.3);  // rho 2 -> 1.4: the bound keeps overflowing
+  telemetry::Telemetry tel;
+  SimulationOptions options;
+  options.duration = 20.0;
+  options.queue_bound.capacity = 128;
+  options.overload.enabled = true;
+  options.overload.queue_high_water = 64;
+  options.recovery = &agent;
+  options.telemetry = &tel;
+
+  auto r = SimulatePlacement(s.graph, s.plan, s.system,
+                             {ConstantTrace(1000.0, 20.0)}, options);
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r->overload.shed_directive, 0u);
+  EXPECT_GT(r->overload.shed_overflow, 0u);
+  const auto counters = tel.Snapshot().counters;
+  EXPECT_EQ(counters.at("engine.inputs_shed"), r->shed_tuples);
+  EXPECT_EQ(counters.at("engine.tuples_shed"), r->overload.total_shed());
+  EXPECT_GT(counters.at("engine.tuples_shed"),
+            counters.at("engine.inputs_shed"));
 }
 
 TEST(OverloadControlTest, DetectorObservesOnlyWithoutAgent) {

@@ -1,9 +1,13 @@
-// Tests for node scheduling disciplines (FIFO vs round-robin) — unit
-// behaviour of SimNode and the end-to-end latency isolation property.
+// Unit tests of SimNode: FIFO service, bounded ingress under every
+// OverflowPolicy, and the queue operations the engine uses on crash and
+// migration (DrainAll, ExtractIf) and on runaway-load aborts
+// (HottestOperator).
 
 #include <gtest/gtest.h>
 
-#include "runtime/engine.h"
+#include <vector>
+
+#include "common/random.h"
 #include "runtime/node.h"
 
 namespace rod::sim {
@@ -16,8 +20,20 @@ Task MakeTask(uint32_t op, double origin = 0.0) {
   return t;
 }
 
+Task CommTask() { return MakeTask(Task::kCommTask); }
+
+/// Origins of the queued tasks in service order (empties the queue).
+std::vector<double> ServeAll(SimNode& node) {
+  std::vector<double> origins;
+  while (node.CanStart()) {
+    origins.push_back(node.StartService().origin);
+    node.FinishService(0.0);
+  }
+  return origins;
+}
+
 TEST(SimNodeTest, FifoServesInArrivalOrder) {
-  SimNode node(1.0, Scheduling::kFifo);
+  SimNode node(1.0);
   node.Enqueue(MakeTask(7, 1.0));
   node.Enqueue(MakeTask(7, 2.0));
   node.Enqueue(MakeTask(9, 3.0));
@@ -31,41 +47,6 @@ TEST(SimNodeTest, FifoServesInArrivalOrder) {
   EXPECT_EQ(node.queue_length(), 0u);
   EXPECT_EQ(node.tasks_processed(), 3u);
   EXPECT_NEAR(node.busy_time(), 0.3, 1e-12);
-}
-
-TEST(SimNodeTest, RoundRobinAlternatesOperators) {
-  SimNode node(1.0, Scheduling::kRoundRobin);
-  // Operator 1 floods, operator 2 has one task.
-  node.Enqueue(MakeTask(1, 1.0));
-  node.Enqueue(MakeTask(1, 2.0));
-  node.Enqueue(MakeTask(1, 3.0));
-  node.Enqueue(MakeTask(2, 4.0));
-  // Service order: op1(1.0) -> op2(4.0) -> op1(2.0) -> op1(3.0).
-  EXPECT_EQ(node.StartService().op, 1u);
-  node.FinishService(0.0);
-  const Task second = node.StartService();
-  EXPECT_EQ(second.op, 2u);
-  EXPECT_DOUBLE_EQ(second.origin, 4.0);
-  node.FinishService(0.0);
-  EXPECT_DOUBLE_EQ(node.StartService().origin, 2.0);
-  node.FinishService(0.0);
-  EXPECT_DOUBLE_EQ(node.StartService().origin, 3.0);
-  node.FinishService(0.0);
-  EXPECT_FALSE(node.CanStart());
-}
-
-TEST(SimNodeTest, RoundRobinHandlesArrivalDuringService) {
-  SimNode node(1.0, Scheduling::kRoundRobin);
-  node.Enqueue(MakeTask(1, 1.0));
-  EXPECT_EQ(node.StartService().op, 1u);
-  node.Enqueue(MakeTask(2, 2.0));
-  node.Enqueue(MakeTask(1, 3.0));
-  node.FinishService(0.5);
-  // op 2 entered the rotation when op 1's bucket was empty; op 1 rejoined
-  // behind it.
-  EXPECT_EQ(node.StartService().op, 2u);
-  node.FinishService(0.5);
-  EXPECT_EQ(node.StartService().op, 1u);
 }
 
 TEST(SimNodeTest, BusyBlocksStart) {
@@ -87,60 +68,202 @@ TEST(SimNodeTest, ServiceTimeScalesWithCapacity) {
   EXPECT_DOUBLE_EQ(slow.ServiceTime(1.0), 2.0);
 }
 
-// End-to-end: a cheap low-rate query sharing a node with an expensive
-// high-rate one keeps a low latency under round-robin but not under FIFO.
-TEST(SchedulingTest, RoundRobinIsolatesCheapPath) {
-  query::QueryGraph g;
-  const auto heavy_in = g.AddInputStream("heavy");
-  const auto light_in = g.AddInputStream("light");
-  ASSERT_TRUE(g.AddOperator({.name = "heavy",
-                             .kind = query::OperatorKind::kMap,
-                             .cost = 8e-3},
-                            {query::StreamRef::Input(heavy_in)})
-                  .ok());
-  ASSERT_TRUE(g.AddOperator({.name = "light",
-                             .kind = query::OperatorKind::kMap,
-                             .cost = 1e-4},
-                            {query::StreamRef::Input(light_in)})
-                  .ok());
-  const place::SystemSpec system = place::SystemSpec::Homogeneous(1);
-  const place::Placement plan(1, {0, 0});
+TEST(SimNodeTest, DropNewestRejectsTheArrivalAtCapacity) {
+  SimNode node(1.0);
+  node.ConfigureOverflow({.capacity = 2, .policy = OverflowPolicy::kDropNewest});
+  Rng rng(1);
+  EXPECT_TRUE(node.EnqueueBounded(MakeTask(0, 1.0), rng).accepted);
+  EXPECT_TRUE(node.EnqueueBounded(MakeTask(0, 2.0), rng).accepted);
+  const auto out = node.EnqueueBounded(MakeTask(0, 3.0), rng);
+  EXPECT_FALSE(out.accepted);
+  EXPECT_FALSE(out.evicted);
+  EXPECT_EQ(node.tuple_queue_length(), 2u);
+  EXPECT_EQ(node.queue_high_water(), 2u);
+  EXPECT_EQ(ServeAll(node), (std::vector<double>{1.0, 2.0}));
+}
 
-  auto make_traces = [] {
-    trace::RateTrace heavy;
-    heavy.window_sec = 30.0;
-    heavy.rates = {110.0};  // rho ~ 0.88: long queue at the heavy op
-    trace::RateTrace light = heavy;
-    light.rates = {20.0};
-    return std::vector<trace::RateTrace>{heavy, light};
-  };
+TEST(SimNodeTest, UnboundedNodeAdmitsEverything) {
+  SimNode node(1.0);  // capacity 0: no bound
+  Rng rng(1);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(node.EnqueueBounded(MakeTask(0), rng).accepted);
+  }
+  EXPECT_EQ(node.tuple_queue_length(), 100u);
+}
 
-  SimulationOptions fifo;
-  fifo.duration = 30.0;
-  fifo.scheduling = Scheduling::kFifo;
-  SimulationOptions rr = fifo;
-  rr.scheduling = Scheduling::kRoundRobin;
+TEST(SimNodeTest, CommTasksAreExemptFromTheBound) {
+  SimNode node(1.0);
+  node.ConfigureOverflow({.capacity = 1, .policy = OverflowPolicy::kDropNewest});
+  Rng rng(1);
+  // A queued comm task does not use up the tuple capacity ...
+  EXPECT_TRUE(node.EnqueueBounded(CommTask(), rng).accepted);
+  EXPECT_TRUE(node.EnqueueBounded(MakeTask(0, 1.0), rng).accepted);
+  // ... and a comm task is admitted even with the tuple queue full.
+  EXPECT_TRUE(node.EnqueueBounded(CommTask(), rng).accepted);
+  EXPECT_FALSE(node.EnqueueBounded(MakeTask(0, 2.0), rng).accepted);
+  EXPECT_EQ(node.queue_length(), 3u);
+  EXPECT_EQ(node.tuple_queue_length(), 1u);
+  EXPECT_EQ(node.queue_high_water(), 1u);  // counts tuples only
+}
 
-  auto fifo_run = SimulatePlacement(g, plan, system, make_traces(), fifo);
-  auto rr_run = SimulatePlacement(g, plan, system, make_traces(), rr);
-  ASSERT_TRUE(fifo_run.ok() && rr_run.ok());
-  // Same offered load either way.
-  EXPECT_NEAR(fifo_run->max_node_utilization, rr_run->max_node_utilization,
-              0.05);
-  // Compare the *light sink's* median latency (operator id 1): under FIFO
-  // its tuples wait behind the heavy operator's queue; under round-robin
-  // they wait at most one heavy service.
-  auto sink_p50 = [](const SimulationResult& r, uint32_t op) {
-    for (const SinkLatency& s : r.sink_latencies) {
-      if (s.sink_op == op) return s.p50;
+TEST(SimNodeTest, DropOldestEvictsTheOldestTupleNotACommTask) {
+  SimNode node(1.0);
+  node.ConfigureOverflow({.capacity = 2, .policy = OverflowPolicy::kDropOldest});
+  Rng rng(1);
+  node.Enqueue(CommTask());
+  node.Enqueue(MakeTask(0, 1.0));
+  node.Enqueue(MakeTask(1, 2.0));
+  const auto out = node.EnqueueBounded(MakeTask(2, 3.0), rng);
+  EXPECT_TRUE(out.accepted);
+  ASSERT_TRUE(out.evicted);
+  EXPECT_EQ(out.victim.op, 0u);
+  EXPECT_DOUBLE_EQ(out.victim.origin, 1.0);
+  EXPECT_EQ(node.queue_length(), 3u);
+  EXPECT_EQ(node.tuple_queue_length(), 2u);
+  EXPECT_EQ(ServeAll(node), (std::vector<double>{0.0, 2.0, 3.0}));
+}
+
+TEST(SimNodeTest, RandomDropsUniformlyAmongQueuedTuplesAndTheArrival) {
+  // Tuples 1..3 (by origin) with comm tasks between them; the draw picks
+  // among the three queued tuples (skipping comm tasks) and the arrival.
+  bool saw_reject = false;
+  bool saw_evict = false;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimNode node(1.0);
+    node.ConfigureOverflow({.capacity = 3, .policy = OverflowPolicy::kRandom});
+    Rng rng(seed);
+    node.Enqueue(MakeTask(0, 1.0));
+    node.Enqueue(CommTask());
+    node.Enqueue(MakeTask(0, 2.0));
+    node.Enqueue(CommTask());
+    node.Enqueue(MakeTask(0, 3.0));
+    Rng expected = rng;
+    const size_t pick = expected.NextIndex(4);
+    const auto out = node.EnqueueBounded(MakeTask(0, 4.0), rng);
+    EXPECT_EQ(rng.NextU64(), expected.NextU64());  // exactly one draw
+    EXPECT_EQ(node.tuple_queue_length(), 3u);
+    EXPECT_EQ(node.queue_length(), 5u);
+    if (pick == 3) {
+      saw_reject = true;
+      EXPECT_FALSE(out.accepted);
+      EXPECT_FALSE(out.evicted);
+    } else {
+      saw_evict = true;
+      EXPECT_TRUE(out.accepted);
+      ASSERT_TRUE(out.evicted);
+      EXPECT_DOUBLE_EQ(out.victim.origin, static_cast<double>(pick + 1));
     }
-    ADD_FAILURE() << "sink " << op << " missing";
-    return 0.0;
-  };
-  EXPECT_LT(sink_p50(*rr_run, 1), 0.5 * sink_p50(*fifo_run, 1));
-  // The heavy sink's latency is queue-bound either way.
-  EXPECT_NEAR(sink_p50(*rr_run, 0), sink_p50(*fifo_run, 0),
-              0.6 * sink_p50(*fifo_run, 0));
+  }
+  EXPECT_TRUE(saw_reject);
+  EXPECT_TRUE(saw_evict);
+}
+
+TEST(SimNodeTest, RandomDoesNotDrawBelowCapacity) {
+  SimNode node(1.0);
+  node.ConfigureOverflow({.capacity = 2, .policy = OverflowPolicy::kRandom});
+  Rng rng(5);
+  Rng untouched = rng;
+  EXPECT_TRUE(node.EnqueueBounded(MakeTask(0), rng).accepted);
+  EXPECT_TRUE(node.EnqueueBounded(MakeTask(0), rng).accepted);
+  EXPECT_EQ(rng.NextU64(), untouched.NextU64());
+}
+
+TEST(SimNodeTest, QosWeightedEvictsTheOldestCheapestTuple) {
+  // Drop weights: op 0 -> 1.0, op 1 -> 0.5, op 2 -> 2.0; ops past the
+  // table weigh 1.0.
+  const std::vector<double> weights = {1.0, 0.5, 2.0};
+  SimNode node(1.0);
+  node.ConfigureOverflow(
+      {.capacity = 3, .policy = OverflowPolicy::kQosWeighted},
+      weights.data(), weights.size());
+  Rng rng(1);
+  node.Enqueue(MakeTask(0, 1.0));
+  node.Enqueue(MakeTask(1, 2.0));
+  node.Enqueue(CommTask());
+  node.Enqueue(MakeTask(1, 3.0));
+
+  // A heavier arrival evicts the cheapest queued tuple; of the two op-1
+  // tuples the older goes.
+  auto out = node.EnqueueBounded(MakeTask(2, 4.0), rng);
+  EXPECT_TRUE(out.accepted);
+  ASSERT_TRUE(out.evicted);
+  EXPECT_DOUBLE_EQ(out.victim.origin, 2.0);
+
+  // Tie rule: an arrival weighing the same as the cheapest queued tuple
+  // is itself rejected, and nothing queued is dropped.
+  out = node.EnqueueBounded(MakeTask(1, 5.0), rng);
+  EXPECT_FALSE(out.accepted);
+  EXPECT_FALSE(out.evicted);
+
+  out = node.EnqueueBounded(MakeTask(0, 6.0), rng);
+  EXPECT_TRUE(out.accepted);
+  ASSERT_TRUE(out.evicted);
+  EXPECT_DOUBLE_EQ(out.victim.origin, 3.0);
+
+  // Op 7 is past the weight table: weight 1.0 ties the cheapest queued
+  // tuples (op 0), so it is rejected.
+  out = node.EnqueueBounded(MakeTask(7, 7.0), rng);
+  EXPECT_FALSE(out.accepted);
+
+  EXPECT_EQ(node.tuple_queue_length(), 3u);
+  EXPECT_EQ(node.queue_length(), 4u);
+  EXPECT_EQ(ServeAll(node), (std::vector<double>{1.0, 0.0, 4.0, 6.0}));
+}
+
+TEST(SimNodeTest, ExtractIfKeepsSurvivorOrderAndRecountsTuples) {
+  SimNode node(1.0);
+  node.Enqueue(MakeTask(1, 1.0));
+  node.Enqueue(CommTask());
+  node.Enqueue(MakeTask(2, 2.0));
+  node.Enqueue(MakeTask(1, 3.0));
+  node.Enqueue(CommTask());
+  node.Enqueue(MakeTask(2, 4.0));
+  const std::vector<Task> moved =
+      node.ExtractIf([](const Task& t) { return t.op == 1; });
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_DOUBLE_EQ(moved[0].origin, 1.0);
+  EXPECT_DOUBLE_EQ(moved[1].origin, 3.0);
+  EXPECT_EQ(node.queue_length(), 4u);
+  EXPECT_EQ(node.tuple_queue_length(), 2u);  // comm tasks not counted
+  EXPECT_EQ(ServeAll(node), (std::vector<double>{0.0, 2.0, 0.0, 4.0}));
+  EXPECT_EQ(node.tuple_queue_length(), 0u);
+}
+
+TEST(SimNodeTest, DrainAllReturnsTheQueueInOrderAndEmptiesIt) {
+  SimNode node(1.0);
+  node.Enqueue(MakeTask(0, 1.0));
+  (void)node.StartService();  // in flight: not part of the queue
+  node.Enqueue(MakeTask(3, 2.0));
+  node.Enqueue(CommTask());
+  node.Enqueue(MakeTask(4, 3.0));
+  const std::vector<Task> dropped = node.DrainAll();
+  ASSERT_EQ(dropped.size(), 3u);
+  EXPECT_DOUBLE_EQ(dropped[0].origin, 2.0);
+  EXPECT_EQ(dropped[1].op, Task::kCommTask);
+  EXPECT_DOUBLE_EQ(dropped[2].origin, 3.0);
+  EXPECT_EQ(node.queue_length(), 0u);
+  EXPECT_EQ(node.tuple_queue_length(), 0u);
+  EXPECT_EQ(node.queue_high_water(), 2u);  // the run's peak survives
+  EXPECT_TRUE(node.busy());
+  node.AbortService();
+  EXPECT_FALSE(node.CanStart());
+  EXPECT_TRUE(node.DrainAll().empty());
+}
+
+TEST(SimNodeTest, HottestOperatorCountsQueuedTasks) {
+  SimNode node(1.0);
+  EXPECT_EQ(node.HottestOperator(),
+            (std::pair<uint32_t, size_t>{Task::kCommTask, 0}));
+  node.Enqueue(MakeTask(5));
+  node.Enqueue(MakeTask(3));
+  node.Enqueue(CommTask());
+  node.Enqueue(MakeTask(3));
+  node.Enqueue(MakeTask(3));
+  EXPECT_EQ(node.HottestOperator(), (std::pair<uint32_t, size_t>{3, 3}));
+  for (int i = 0; i < 3; ++i) node.Enqueue(CommTask());
+  EXPECT_EQ(node.HottestOperator(),
+            (std::pair<uint32_t, size_t>{Task::kCommTask, 4}));
 }
 
 }  // namespace
