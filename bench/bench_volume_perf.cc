@@ -6,9 +6,7 @@
 // both) — and measures kernel throughput (samples/sec), the speedup over
 // 1 thread, bit-exact agreement between the parallel and sequential
 // estimates and between the SIMD and scalar paths, and the sample-cache
-// cold (generate) vs warm (reuse) cost. A second section times ROD's
-// volume-greedy placement with delta candidate scoring on vs off and
-// checks the placements are identical. Emits a machine-readable JSON
+// cold (generate) vs warm (reuse) cost. Emits a machine-readable JSON
 // baseline (fields documented in docs/BENCH_VOLUME.md) so later PRs can
 // regress against it.
 //
@@ -68,25 +66,10 @@ struct Measurement {
   double cache_warm_ms = 0.0;
 };
 
-/// Delta-vs-full scoring comparison of one volume-greedy placement.
-struct DeltaRun {
-  size_t dims, nodes, samples;
-  double delta_seconds = 0.0;
-  double full_seconds = 0.0;
-  double speedup = 0.0;       ///< full_seconds / delta_seconds
-  bool identical = false;     ///< assignments equal element-wise
-};
-
-/// The raw matrices every sweep builds its evaluator input from: random
-/// operator load coefficients (each operator mostly loads one stream) on
-/// a homogeneous cluster.
-struct WorkloadMatrices {
-  Matrix op_coeffs;
-  Vector totals;
-  place::SystemSpec system;
-};
-
-WorkloadMatrices MakeMatrices(const Workload& w, uint64_t seed) {
+/// A representative evaluator input: random operator load coefficients
+/// (each operator mostly loads one stream), ROD-placed on a homogeneous
+/// cluster — the exact shape every bench sweep feeds the estimator.
+geom::FeasibleSet MakeWorkload(const Workload& w, uint64_t seed) {
   const size_t m = 6 * w.nodes;
   Matrix op_coeffs(m, w.dims);
   Rng rng(seed);
@@ -102,19 +85,11 @@ WorkloadMatrices MakeMatrices(const Workload& w, uint64_t seed) {
   for (size_t j = 0; j < m; ++j) {
     for (size_t k = 0; k < w.dims; ++k) totals[k] += op_coeffs(j, k);
   }
-  return {std::move(op_coeffs), std::move(totals),
-          place::SystemSpec::Homogeneous(w.nodes)};
-}
-
-/// A representative evaluator input: the matrices above, ROD-placed —
-/// the exact shape every bench sweep feeds the estimator.
-geom::FeasibleSet MakeWorkload(const Workload& w, uint64_t seed) {
-  const WorkloadMatrices wm = MakeMatrices(w, seed);
-  auto placement =
-      place::RodPlaceMatrix(wm.op_coeffs, wm.totals, wm.system);
+  const place::SystemSpec system = place::SystemSpec::Homogeneous(w.nodes);
+  auto placement = place::RodPlaceMatrix(op_coeffs, totals, system);
   ROD_CHECK_OK(placement.status());
-  auto weights = geom::ComputeWeightMatrix(placement->NodeCoeffs(wm.op_coeffs),
-                                           wm.totals, wm.system.capacities);
+  auto weights = geom::ComputeWeightMatrix(placement->NodeCoeffs(op_coeffs),
+                                           totals, system.capacities);
   ROD_CHECK_OK(weights.status());
   return geom::FeasibleSet(std::move(*weights));
 }
@@ -126,8 +101,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 void WriteJson(const std::string& path, const std::string& mode,
-               bool simd_available, const std::vector<Measurement>& rows,
-               const std::vector<DeltaRun>& delta_rows) {
+               bool simd_available, const std::vector<Measurement>& rows) {
   std::ofstream out(path);
   telemetry::JsonWriter w(out);
   w.BeginObject();
@@ -155,19 +129,6 @@ void WriteJson(const std::string& path, const std::string& mode,
     w.Key("simd_speedup_vs_scalar").Double(m.simd_speedup_vs_scalar);
     w.Key("cache_cold_ms").Double(m.cache_cold_ms);
     w.Key("cache_warm_ms").Double(m.cache_warm_ms);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("rod_delta").BeginArray();
-  for (const DeltaRun& d : delta_rows) {
-    w.BeginObjectInline();
-    w.Key("dims").Uint(d.dims);
-    w.Key("nodes").Uint(d.nodes);
-    w.Key("samples").Uint(d.samples);
-    w.Key("delta_seconds").Double(d.delta_seconds);
-    w.Key("full_seconds").Double(d.full_seconds);
-    w.Key("speedup").Double(d.speedup);
-    w.Key("identical").Bool(d.identical);
     w.EndObject();
   }
   w.EndArray();
@@ -331,51 +292,6 @@ int main(int argc, char** argv) {
   std::cout << "\nparallel/sequential and simd/scalar estimates bit-exact: "
             << (all_bitexact ? "yes" : "NO") << "\n";
 
-  // Volume-greedy ROD with delta candidate scoring on vs off: the
-  // placements must be identical (the delta context replays exactly the
-  // per-sample feasibility the full re-test computes); the timing shows
-  // what the incremental path buys.
-  bench::Banner("ROD volume-greedy placement: delta vs full scoring");
-  bench::Table dtable({"dims", "nodes", "samples", "delta ms", "full ms",
-                       "speedup", "identical"});
-  std::vector<DeltaRun> delta_rows;
-  bool all_identical = true;
-  const size_t delta_samples = smoke ? 4096 : 16384;
-  for (const Workload& w : workloads) {
-    const WorkloadMatrices wm = MakeMatrices(w, /*seed=*/42);
-    place::RodOptions ro;
-    ro.mode = place::RodOptions::Mode::kVolumeGreedy;
-    ro.volume.num_samples = delta_samples;
-    DeltaRun d;
-    d.dims = w.dims;
-    d.nodes = w.nodes;
-    d.samples = delta_samples;
-    ro.delta_eval = true;
-    auto t0 = std::chrono::steady_clock::now();
-    auto with_delta =
-        place::RodPlaceMatrix(wm.op_coeffs, wm.totals, wm.system, ro);
-    d.delta_seconds = SecondsSince(t0);
-    ro.delta_eval = false;
-    t0 = std::chrono::steady_clock::now();
-    auto full =
-        place::RodPlaceMatrix(wm.op_coeffs, wm.totals, wm.system, ro);
-    d.full_seconds = SecondsSince(t0);
-    ROD_CHECK_OK(with_delta.status());
-    ROD_CHECK_OK(full.status());
-    d.identical = with_delta->assignment() == full->assignment();
-    d.speedup = d.delta_seconds > 0 ? d.full_seconds / d.delta_seconds : 0.0;
-    all_identical = all_identical && d.identical;
-    delta_rows.push_back(d);
-    dtable.AddRow({std::to_string(d.dims), std::to_string(d.nodes),
-                   std::to_string(d.samples),
-                   bench::Fmt(d.delta_seconds * 1e3, 1),
-                   bench::Fmt(d.full_seconds * 1e3, 1),
-                   bench::Fmt(d.speedup, 2), d.identical ? "yes" : "NO"});
-  }
-  dtable.Print();
-  std::cout << "\ndelta and full scoring place identically: "
-            << (all_identical ? "yes" : "NO") << "\n";
-
   bool simd_ok = true;
   if (min_simd_speedup > 0.0) {
     if (!simd_available) {
@@ -388,9 +304,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteJson(out_path, smoke ? "smoke" : "full", simd_available, rows,
-            delta_rows);
-  std::cout << "wrote " << out_path << " (" << rows.size() << " entries, "
-            << delta_rows.size() << " delta runs)\n";
-  return all_bitexact && all_identical && simd_ok ? 0 : 1;
+  WriteJson(out_path, smoke ? "smoke" : "full", simd_available, rows);
+  std::cout << "wrote " << out_path << " (" << rows.size() << " entries)\n";
+  return all_bitexact && simd_ok ? 0 : 1;
 }

@@ -91,10 +91,6 @@ struct SimplexSampleSet {
   Matrix samples;
   size_t lane_stride = 0;
   AlignedLaneBuffer lanes;
-
-  const double* Lane(size_t k) const {
-    return lanes.data() + k * lane_stride;
-  }
 };
 
 /// Builds the dual-layout sample set for `key` (generation + transpose).

@@ -8,9 +8,7 @@
 #include <string>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "geometry/hyperplane.h"
-#include "placement/delta_volume.h"
 
 namespace rod::place {
 
@@ -104,61 +102,26 @@ Result<Placement> RodPlaceMatrix(
   }
   Vector w(dims);  // scratch candidate weight row
 
-  // Volume-scored greedy: per-sample feasibility state shared across the
-  // whole run, seeded with any pinned units in unit order.
-  std::unique_ptr<DeltaVolumeContext> volume_ctx;
-  if (options.mode == RodOptions::Mode::kVolumeGreedy) {
-    Vector inv_cap(n);
-    for (size_t i = 0; i < n; ++i) inv_cap[i] = 1.0 / cap_share[i];
-    auto set = geom::SimplexSampleCache::Global().Get(
-        geom::VolumeSampleKey(dims, options.volume));
-    volume_ctx = std::make_unique<DeltaVolumeContext>(
-        op_coeffs, total_coeffs, std::move(inv_cap), std::move(set),
-        options.volume.num_threads);
-    if (fixed_assignment != nullptr) {
-      for (size_t j = 0; j < m; ++j) {
-        const size_t node = (*fixed_assignment)[j];
-        if (node >= n) continue;
-        volume_ctx->LoadUnit(j);
-        volume_ctx->Commit(node);
-      }
-    }
-  }
-
   const bool has_lb = !normalized_lower_bound.empty();
   std::vector<Candidate> cand(n);
   std::vector<size_t> class_one_nodes;
   std::vector<size_t> all_nodes(n);
   std::iota(all_nodes.begin(), all_nodes.end(), 0);
-  // Nodes per parallel chunk of the candidate evaluation; below one chunk
-  // per lane the pool dispatch costs more than the dims-length row scans.
-  constexpr size_t kNodeGrain = 16;
 
   for (size_t j : order) {
-    auto eval_node = [&](size_t i, Vector& scratch) {
+    for (size_t i = 0; i < n; ++i) {
       bool class_one = true;
       double max_weight = 0.0;
       for (size_t k = 0; k < dims; ++k) {
-        scratch[k] = (node_coeffs(i, k) + op_coeffs(j, k)) / total_coeffs[k] /
-                     cap_share[i];
-        max_weight = std::max(max_weight, scratch[k]);
-        if (scratch[k] > 1.0 + kClassITolerance) class_one = false;
+        w[k] = (node_coeffs(i, k) + op_coeffs(j, k)) / total_coeffs[k] /
+               cap_share[i];
+        max_weight = std::max(max_weight, w[k]);
+        if (w[k] > 1.0 + kClassITolerance) class_one = false;
       }
       const double pd =
-          has_lb ? geom::PlaneDistanceFrom(scratch, normalized_lower_bound)
-                 : geom::PlaneDistance(scratch);
+          has_lb ? geom::PlaneDistanceFrom(w, normalized_lower_bound)
+                 : geom::PlaneDistance(w);
       cand[i] = Candidate{class_one, pd, max_weight};
-    };
-    if (options.num_threads > 1 && n > kNodeGrain) {
-      ParallelFor(options.num_threads, n, kNodeGrain,
-                  [&](size_t, size_t begin, size_t end) {
-                    Vector scratch(dims);
-                    for (size_t i = begin; i < end; ++i) {
-                      eval_node(i, scratch);
-                    }
-                  });
-    } else {
-      for (size_t i = 0; i < n; ++i) eval_node(i, w);
     }
     class_one_nodes.clear();
     for (size_t i = 0; i < n; ++i) {
@@ -177,26 +140,6 @@ Result<Placement> RodPlaceMatrix(
     };
 
     switch (options.mode) {
-      case RodOptions::Mode::kVolumeGreedy: {
-        // Maximize the surviving feasible-sample count; break count ties
-        // by plane distance, then by lowest node id. Counts are identical
-        // with delta evaluation on or off, so the placement is too.
-        volume_ctx->LoadUnit(j);
-        selected = 0;
-        size_t best_count =
-            volume_ctx->ScoreCandidate(0, options.delta_eval);
-        for (size_t i = 1; i < n; ++i) {
-          const size_t count =
-              volume_ctx->ScoreCandidate(i, options.delta_eval);
-          if (count > best_count ||
-              (count == best_count &&
-               cand[i].plane_distance > cand[selected].plane_distance)) {
-            best_count = count;
-            selected = i;
-          }
-        }
-        break;
-      }
       case RodOptions::Mode::kMmpdOnly:
         selected = argmax_pd(all_nodes);
         break;
@@ -258,7 +201,6 @@ Result<Placement> RodPlaceMatrix(
 
     assignment[j] = selected;
     assigned[j] = true;
-    if (volume_ctx != nullptr) volume_ctx->Commit(selected);
     for (size_t k = 0; k < dims; ++k) {
       node_coeffs(selected, k) += op_coeffs(j, k);
     }

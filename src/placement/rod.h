@@ -8,10 +8,11 @@
 #define ROD_PLACEMENT_ROD_H_
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
-#include "geometry/feasible_set.h"
 #include "placement/plan.h"
 #include "query/load_model.h"
 #include "query/query_graph.h"
@@ -41,26 +42,10 @@ struct RodOptions {
     kMmadOnly,  ///< Always minimize the candidate maximum weight
                 ///< (pure axis-distance balancing, §4.1).
     kMmpdOnly,  ///< Always maximize the candidate plane distance (§4.2).
-    kVolumeGreedy,  ///< Maximize the resulting feasible-set sample count
-                    ///< directly (Monte-Carlo over `volume`'s sample set;
-                    ///< ties fall back to plane distance). Candidate counts
-                    ///< come from the DeltaVolumeContext; `delta_eval`
-                    ///< switches incremental vs full scoring, which are
-                    ///< bit-identical by construction.
   };
 
   ClassITieBreak tie_break = ClassITieBreak::kMaxPlaneDistance;
   Mode mode = Mode::kCombined;
-
-  /// Sampling configuration of Mode::kVolumeGreedy (sample set, count,
-  /// scoring parallelism). Ignored by the other modes.
-  geom::VolumeOptions volume;
-
-  /// Mode::kVolumeGreedy only: score candidates incrementally from the
-  /// cached per-sample feasibility state (true) or by re-testing every
-  /// node row per sample (false). Placements are identical either way;
-  /// the toggle exists to prove it and to measure the speedup.
-  bool delta_eval = true;
 
   /// Sort operators by ||l^o_j||_2 before assignment (phase 1). Disabling
   /// (or ascending order) is exposed for the ordering ablation.
@@ -74,12 +59,6 @@ struct RodOptions {
 
   /// Seed for ClassITieBreak::kRandom.
   uint64_t seed = 0x20d5eedULL;
-
-  /// Parallelism of the per-unit candidate-node evaluation: > 1 computes
-  /// the candidate metrics of large clusters on the shared thread pool.
-  /// Metrics land in node-indexed slots and selection stays sequential,
-  /// so the placement is identical for every value.
-  size_t num_threads = 1;
 };
 
 /// Runs ROD on raw matrices: `op_coeffs` is the (m x D) load-coefficient

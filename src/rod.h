@@ -50,7 +50,6 @@
 #include "placement/baselines.h"
 #include "placement/clustering.h"
 #include "placement/correlation_policy.h"
-#include "placement/delta_volume.h"
 #include "placement/dynamic.h"
 #include "placement/evaluator.h"
 #include "placement/optimal.h"

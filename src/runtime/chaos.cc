@@ -89,15 +89,4 @@ Status FailureSchedule::Validate(size_t num_nodes, size_t num_streams) const {
   return Status::OK();
 }
 
-Status FailureSchedule::Validate(size_t num_nodes) const {
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kLoadSpike) {
-      return Status::InvalidArgument(
-          "schedule contains load spikes; validate with the "
-          "(num_nodes, num_streams) overload");
-    }
-  }
-  return Validate(num_nodes, 0);
-}
-
 }  // namespace rod::sim

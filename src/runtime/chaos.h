@@ -68,10 +68,6 @@ class FailureSchedule {
   /// replay), and load spikes target a stream < `num_streams`.
   Status Validate(size_t num_nodes, size_t num_streams) const;
 
-  /// Legacy single-arg form: node checks only; any kLoadSpike event is
-  /// rejected because the stream universe is unknown.
-  Status Validate(size_t num_nodes) const;
-
  private:
   std::vector<FaultEvent> events_;
 };
@@ -97,9 +93,7 @@ struct OverloadSignal {
   uint32_t hot_node = 0;       ///< Node with the deepest tuple queue.
   size_t queue_depth = 0;      ///< Its queued tuple tasks right now.
   size_t queue_high_water = 0; ///< Detector threshold that was breached.
-  double recent_max_latency = 0.0;  ///< Max sink latency since the last
-                                    ///< detector tick (0 when none).
-  double sustained_seconds = 0.0;   ///< How long the breach has held.
+  double sustained_seconds = 0.0;  ///< How long the breach has held.
   /// Per-input-stream arrival rates observed over the last detector
   /// window (tuples/second) — the demand the decision must absorb.
   std::vector<double> observed_rates;

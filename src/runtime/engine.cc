@@ -357,12 +357,8 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   // default runs stay bit-exact with previous releases.
   const bool bp_on = options.backpressure.enabled;
   const bool oc_on = options.overload.enabled;
-  const size_t bp_low = options.backpressure.low_water > 0
-                            ? options.backpressure.low_water
-                            : options.backpressure.high_water / 2;
-  const size_t oc_clear = options.overload.clear_low_water > 0
-                              ? options.overload.clear_low_water
-                              : options.overload.queue_high_water / 4;
+  const size_t bp_low = options.backpressure.high_water / 2;
+  const size_t oc_clear = options.overload.queue_high_water / 4;
   ws.congested.assign(num_nodes, 0);
   ws.congested_since.assign(num_nodes, 0.0);
   ws.bp_held.resize(num_nodes);
@@ -382,7 +378,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   double oc_last_consult = -1e300;
   double active_shed = 0.0;        ///< Control-directed source drop rate.
   bool overload_signalled = false;
-  double recent_latency_max = 0.0;
   // Overflow eviction and directive shedding draw from a control stream
   // derived by constant mixing — never an extra master.Fork() — so runs
   // without those features keep their historical random streams.
@@ -965,10 +960,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
           hot = i;
         }
       }
-      const bool trigger =
-          depth >= options.overload.queue_high_water ||
-          (options.overload.latency_slo > 0.0 &&
-           recent_latency_max > options.overload.latency_slo);
+      const bool trigger = depth >= options.overload.queue_high_water;
       if (trigger && oc_breach_since < 0.0) oc_breach_since = now;
       if (oc_breach_since >= 0.0) {
         const bool sustained =
@@ -987,7 +979,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
           signal.hot_node = hot;
           signal.queue_depth = depth;
           signal.queue_high_water = options.overload.queue_high_water;
-          signal.recent_max_latency = recent_latency_max;
           signal.sustained_seconds = now - oc_breach_since;
           signal.observed_rates.resize(inputs.size());
           for (size_t k = 0; k < inputs.size(); ++k) {
@@ -1040,7 +1031,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
           }
         }
       }
-      recent_latency_max = 0.0;
       std::fill(ws.window_arrivals.begin(), ws.window_arrivals.end(),
                 uint64_t{0});
       const double next = now + options.overload.check_interval;
@@ -1073,10 +1063,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
         if (op.is_sink) {
           if (fl.task.origin >= options.warmup) {
             metrics.RecordOutput(fl.task.op, now - fl.task.origin, now);
-            if (oc_on) {
-              recent_latency_max =
-                  std::max(recent_latency_max, now - fl.task.origin);
-            }
           } else {
             ++warmup_outputs;
           }

@@ -79,7 +79,7 @@ struct SimulationOptions {
   /// Backpressure propagation: a node whose tuple queue reaches
   /// `high_water` becomes congested; deliveries to it are parked, the
   /// sending nodes stall (no new service starts) and sources feeding it
-  /// pause, all until its queue drains to `low_water`. Parked tuples keep
+  /// pause, all until its queue drains to `high_water / 2`. Parked tuples keep
   /// their origin timestamps, so the stall surfaces as latency, not loss.
   /// Congestion cycles among nodes can dead-stall the affected component
   /// — by design (DESIGN.md §11): shedding, not backpressure, is the
@@ -87,25 +87,22 @@ struct SimulationOptions {
   struct BackpressureOptions {
     bool enabled = false;
     size_t high_water = 64;
-    size_t low_water = 0;  ///< 0 -> high_water / 2.
   };
   BackpressureOptions backpressure;
 
   /// Sustained-overload detector: sampled every `check_interval` virtual
-  /// seconds, a breach is a node tuple-queue at/above `queue_high_water`
-  /// or (when `latency_slo` > 0) a sink latency above the SLO since the
-  /// last sample. A breach sustained for `sustain` seconds escalates to
+  /// seconds, a breach is a node tuple-queue at/above `queue_high_water`.
+  /// A breach sustained for `sustain` seconds escalates to
   /// `recovery`->OnOverload (at most once per `cooldown`); the ordered
   /// shed fraction applies to external arrivals until the deepest queue
-  /// drains to `clear_low_water`, which also notifies OnOverloadCleared.
+  /// drains to `queue_high_water / 4`, which also notifies
+  /// OnOverloadCleared.
   struct OverloadControlOptions {
     bool enabled = false;
     double check_interval = 0.25;
     size_t queue_high_water = 128;
-    double latency_slo = 0.0;  ///< Seconds; 0 disables the latency trigger.
     double sustain = 0.5;
     double cooldown = 2.0;
-    size_t clear_low_water = 0;  ///< 0 -> queue_high_water / 4.
   };
   OverloadControlOptions overload;
 

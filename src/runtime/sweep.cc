@@ -9,6 +9,9 @@
 namespace rod::sim {
 namespace {
 
+/// Round cap of each SimulatedBoundaryScale phase (bracketing, refinement).
+constexpr size_t kMaxBoundaryRounds = 32;
+
 uint64_t SplitMix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -53,8 +56,7 @@ std::vector<Result<SimulationResult>> SimulateSweep(
   std::vector<Result<SimulationResult>> results(
       cases.size(), Result<SimulationResult>(Status::Internal("case not run")));
   ParallelFor(ResolveSweepThreads(sweep.num_threads), cases.size(),
-              sweep.grain == 0 ? 1 : sweep.grain,
-              [&](size_t, size_t begin, size_t end) {
+              /*grain=*/1, [&](size_t, size_t begin, size_t end) {
                 for (size_t i = begin; i < end; ++i) {
                   telemetry::TraceSpan span(sweep.telemetry, "sweep", "case",
                                             static_cast<uint64_t>(i));
@@ -86,8 +88,7 @@ std::vector<Result<bool>> ProbeFeasibleSweep(const query::QueryGraph& graph,
   }
   const size_t num_streams = graph.num_input_streams();
   ParallelFor(
-      ResolveSweepThreads(sweep.num_threads), rate_points.size(),
-      sweep.grain == 0 ? 1 : sweep.grain,
+      ResolveSweepThreads(sweep.num_threads), rate_points.size(), /*grain=*/1,
       [&](size_t, size_t begin, size_t end) {
         std::vector<trace::RateTrace> traces;
         if (sweep.telemetry != nullptr) {
@@ -170,7 +171,7 @@ Result<double> SimulatedBoundaryScale(const query::QueryGraph& graph,
     // an infeasible one appears.
     double s0 = std::max(lo, 1.0);
     bool bracketed = false;
-    for (size_t round = 0; round < search.max_rounds && !bracketed; ++round) {
+    for (size_t round = 0; round < kMaxBoundaryRounds && !bracketed; ++round) {
       for (size_t j = 0; j < batch; ++j) {
         scales[j] = s0 * std::pow(2.0, static_cast<double>(j));
       }
@@ -193,7 +194,7 @@ Result<double> SimulatedBoundaryScale(const query::QueryGraph& graph,
   }
 
   for (size_t round = 0;
-       round < search.max_rounds && (hi - lo) > search.rel_tol * hi; ++round) {
+       round < kMaxBoundaryRounds && (hi - lo) > search.rel_tol * hi; ++round) {
     const double step = (hi - lo) / static_cast<double>(batch + 1);
     for (size_t j = 0; j < batch; ++j) {
       scales[j] = lo + step * static_cast<double>(j + 1);

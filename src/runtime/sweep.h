@@ -38,10 +38,6 @@ struct SweepOptions {
   /// not depend on this value.
   size_t num_threads = 0;
 
-  /// Cases per scheduling chunk. 1 (the default) balances best; raise it
-  /// only when cases are very short.
-  size_t grain = 1;
-
   /// Telemetry sink for sweep-level series ("sweep" spans per case/probe,
   /// `sweep.cases` / `sweep.probes` counters). Not owned; null disables.
   /// Independent of any per-case SimulationOptions::telemetry.
@@ -96,8 +92,6 @@ struct BoundarySearchOptions {
   /// derived from the thread count, so the probed grid — and therefore
   /// the answer — is identical for every SweepOptions::num_threads.
   size_t batch = 8;
-
-  size_t max_rounds = 32;
 };
 
 /// The simulated counterpart of the paper's analytic boundary scale
@@ -106,6 +100,7 @@ struct BoundarySearchOptions {
 /// rates `s * direction`. Each refinement round probes a fixed grid of
 /// `batch` interior points in parallel and keeps the longest feasible
 /// prefix, so simulation noise cannot make the search thread-dependent.
+/// Bracketing and refinement each stop after 32 rounds.
 Result<double> SimulatedBoundaryScale(const query::QueryGraph& graph,
                                       const place::Placement& placement,
                                       const place::SystemSpec& system,
@@ -127,8 +122,7 @@ auto SweepMap(size_t n, Fn&& fn, const SweepOptions& sweep = {})
   std::vector<T> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) out.emplace_back();  // default slots
-  ParallelFor(ResolveSweepThreads(sweep.num_threads), n,
-              sweep.grain == 0 ? 1 : sweep.grain,
+  ParallelFor(ResolveSweepThreads(sweep.num_threads), n, /*grain=*/1,
               [&](size_t, size_t begin, size_t end) {
                 for (size_t i = begin; i < end; ++i) out[i] = fn(i);
               });

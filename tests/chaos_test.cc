@@ -97,27 +97,27 @@ TEST(FailureScheduleTest, ValidatesScripts) {
   FailureSchedule ok;
   ok.CrashAt(5.0, 1).RecoverAt(9.0, 1).CrashAt(12.0, 1).SlowdownAt(3.0, 0,
                                                                    0.5);
-  EXPECT_TRUE(ok.Validate(2).ok());
+  EXPECT_TRUE(ok.Validate(2, 0).ok());
 
   FailureSchedule bad_node;
   bad_node.CrashAt(1.0, 7);
-  EXPECT_FALSE(bad_node.Validate(2).ok());
+  EXPECT_FALSE(bad_node.Validate(2, 0).ok());
 
   FailureSchedule double_crash;
   double_crash.CrashAt(1.0, 0).CrashAt(2.0, 0);
-  EXPECT_FALSE(double_crash.Validate(2).ok());
+  EXPECT_FALSE(double_crash.Validate(2, 0).ok());
 
   FailureSchedule spurious_recover;
   spurious_recover.RecoverAt(1.0, 0);
-  EXPECT_FALSE(spurious_recover.Validate(2).ok());
+  EXPECT_FALSE(spurious_recover.Validate(2, 0).ok());
 
   FailureSchedule negative_time;
   negative_time.CrashAt(-1.0, 0);
-  EXPECT_FALSE(negative_time.Validate(2).ok());
+  EXPECT_FALSE(negative_time.Validate(2, 0).ok());
 
   FailureSchedule bad_factor;
   bad_factor.SlowdownAt(1.0, 0, 0.0);
-  EXPECT_FALSE(bad_factor.Validate(2).ok());
+  EXPECT_FALSE(bad_factor.Validate(2, 0).ok());
 }
 
 TEST(FailureScheduleTest, ValidatesLoadSpikes) {
@@ -135,10 +135,10 @@ TEST(FailureScheduleTest, ValidatesLoadSpikes) {
   negative_factor.LoadSpikeAt(1.0, 0, -0.5);
   EXPECT_FALSE(negative_factor.Validate(1, 1).ok());
 
-  // The legacy single-arg form cannot know the stream universe.
+  // A spike outside an empty stream universe is rejected.
   FailureSchedule spike;
   spike.LoadSpikeAt(1.0, 0, 2.0);
-  EXPECT_FALSE(spike.Validate(4).ok());
+  EXPECT_FALSE(spike.Validate(4, 0).ok());
   EXPECT_TRUE(spike.Validate(4, 1).ok());
 
   // Spikes are stream events: they are legal while nodes are down.
@@ -151,26 +151,25 @@ TEST(FailureScheduleTest, RejectsSlowdownOfCrashedNode) {
   // A slowdown must target a node that is up at that instant.
   FailureSchedule down;
   down.CrashAt(5.0, 0).SlowdownAt(6.0, 0, 0.5);
-  EXPECT_FALSE(down.Validate(1).ok());
   EXPECT_FALSE(down.Validate(1, 0).ok());
 
   FailureSchedule recovered;
   recovered.CrashAt(5.0, 0).RecoverAt(6.0, 0).SlowdownAt(6.5, 0, 0.5);
-  EXPECT_TRUE(recovered.Validate(1).ok());
+  EXPECT_TRUE(recovered.Validate(1, 0).ok());
 
   // Same-instant events apply in insertion order, matching the engine's
   // replay: crash-then-slowdown is invalid, slowdown-then-crash is fine.
   FailureSchedule crash_first;
   crash_first.CrashAt(5.0, 0).SlowdownAt(5.0, 0, 0.5);
-  EXPECT_FALSE(crash_first.Validate(1).ok());
+  EXPECT_FALSE(crash_first.Validate(1, 0).ok());
 
   FailureSchedule slowdown_first;
   slowdown_first.SlowdownAt(5.0, 0, 0.5).CrashAt(5.0, 0);
-  EXPECT_TRUE(slowdown_first.Validate(1).ok());
+  EXPECT_TRUE(slowdown_first.Validate(1, 0).ok());
 
   FailureSchedule recover_then_slow;
   recover_then_slow.CrashAt(4.0, 0).RecoverAt(5.0, 0).SlowdownAt(5.0, 0, 2.0);
-  EXPECT_TRUE(recover_then_slow.Validate(1).ok());
+  EXPECT_TRUE(recover_then_slow.Validate(1, 0).ok());
 }
 
 TEST(ChaosTest, UnsupervisedCrashDropsWorkAndRejectsArrivals) {
