@@ -53,17 +53,10 @@ struct Workload {
   size_t total_ops() const { return streams * ops_per_tree; }
 };
 
-/// Median, min and max of one per-rep ratio.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread SpreadOf(const std::vector<double>& values) {
-  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-  return {Percentile(values, 0.5), *lo, *hi};
-}
+using bench::FmtSpread;
+using bench::Spread;
+using bench::SpreadOf;
+using bench::WriteSpread;
 
 struct SingleRun {
   Workload w;
@@ -89,8 +82,10 @@ struct SweepRun {
   Workload w;
   size_t cases = 0;
   size_t threads = 0;
-  double seconds = 0.0;
-  double speedup_vs_1 = 0.0;
+  size_t reps = 0;
+  Spread seconds;  ///< Sweep wall time per rep.
+  /// Per rep: first thread count's seconds over this row's.
+  Spread speedup_vs_1;
   bool bitexact_vs_seq = false;
 };
 
@@ -135,11 +130,6 @@ Setup MakeSetup(const Workload& w, double duration, uint64_t seed) {
   return s;
 }
 
-std::string FmtSpread(const Spread& s, int digits) {
-  return bench::Fmt(s.median, digits) + " [" + bench::Fmt(s.min, digits) +
-         "," + bench::Fmt(s.max, digits) + "]";
-}
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -155,15 +145,6 @@ bool SameResult(const sim::SimulationResult& a,
          a.mean_latency == b.mean_latency && a.max_latency == b.max_latency &&
          a.node_utilization == b.node_utilization &&
          a.final_backlog == b.final_backlog && a.saturated == b.saturated;
-}
-
-void WriteSpread(telemetry::JsonWriter& w, const char* key,
-                 const Spread& s) {
-  w.Key(key).BeginObjectInline();
-  w.Key("median").Double(s.median);
-  w.Key("min").Double(s.min);
-  w.Key("max").Double(s.max);
-  w.EndObject();
 }
 
 void WriteJson(const std::string& path, const std::string& mode,
@@ -209,8 +190,9 @@ void WriteJson(const std::string& path, const std::string& mode,
     w.Key("load_level").Double(r.w.load_level);
     w.Key("cases").Uint(r.cases);
     w.Key("threads").Uint(r.threads);
-    w.Key("seconds").Double(r.seconds);
-    w.Key("speedup_vs_1").Double(r.speedup_vs_1);
+    w.Key("reps").Uint(r.reps);
+    WriteSpread(w, "seconds", r.seconds);
+    WriteSpread(w, "speedup_vs_1", r.speedup_vs_1);
     w.Key("bitexact_vs_seq").Bool(r.bitexact_vs_seq);
     w.EndObject();
   }
@@ -409,47 +391,55 @@ int main(int argc, char** argv) {
       c.options.seed = seeds[i];
       cases.push_back(c);
     }
-    std::vector<sim::SimulationResult> reference;
-    double base_secs = 0.0;
     {
       // One warm pass grows the pool workers' thread-local workspaces.
       sim::SweepOptions warm;
       warm.num_threads = threads_list.back();
       (void)sim::SimulateSweep(cases, warm);
     }
-    for (size_t threads : threads_list) {
-      sim::SweepOptions sweep;
-      sweep.num_threads = threads;
-      const auto t0 = std::chrono::steady_clock::now();
-      auto results = sim::SimulateSweep(cases, sweep);
-      const double secs = SecondsSince(t0);
-      bool bitexact = true;
-      if (threads == threads_list.front()) {
-        base_secs = secs;
-        for (auto& r : results) {
-          ROD_CHECK_OK(r.status());
-          reference.push_back(std::move(*r));
-        }
-      } else {
+    // Thread counts are interleaved within each rep, like the single-run
+    // configurations, so the per-rep speedups see the same host drift.
+    std::vector<std::vector<double>> secs(threads_list.size());
+    std::vector<bool> bitexact(threads_list.size(), true);
+    std::vector<sim::SimulationResult> reference;
+    for (size_t rep = 0; rep < reps; ++rep) {
+      for (size_t t = 0; t < threads_list.size(); ++t) {
+        sim::SweepOptions sweep;
+        sweep.num_threads = threads_list[t];
+        const auto t0 = std::chrono::steady_clock::now();
+        auto results = sim::SimulateSweep(cases, sweep);
+        secs[t].push_back(SecondsSince(t0));
         for (size_t i = 0; i < results.size(); ++i) {
           ROD_CHECK_OK(results[i].status());
-          bitexact = bitexact && SameResult(*results[i], reference[i]) &&
-                     results[i]->p99_latency == reference[i].p99_latency;
+          if (rep == 0 && t == 0) {
+            reference.push_back(std::move(*results[i]));
+          } else {
+            bitexact[t] = bitexact[t] &&
+                          SameResult(*results[i], reference[i]) &&
+                          results[i]->p99_latency == reference[i].p99_latency;
+          }
         }
       }
-      all_bitexact = all_bitexact && bitexact;
+    }
+    for (size_t t = 0; t < threads_list.size(); ++t) {
+      std::vector<double> speedups;
+      for (size_t rep = 0; rep < reps; ++rep) {
+        speedups.push_back(secs[0][rep] / secs[t][rep]);
+      }
+      all_bitexact = all_bitexact && bitexact[t];
       SweepRun r;
       r.w = w;
       r.cases = sweep_cases;
-      r.threads = threads;
-      r.seconds = secs;
-      r.speedup_vs_1 = base_secs / secs;
-      r.bitexact_vs_seq = bitexact;
+      r.threads = threads_list[t];
+      r.reps = reps;
+      r.seconds = SpreadOf(secs[t]);
+      r.speedup_vs_1 = SpreadOf(speedups);
+      r.bitexact_vs_seq = bitexact[t];
       sweeps.push_back(r);
       sweep_table.AddRow({std::to_string(sweep_cases),
-                          std::to_string(threads), bench::Fmt(secs, 3),
-                          bench::Fmt(r.speedup_vs_1, 2),
-                          bitexact ? "yes" : "NO"});
+                          std::to_string(r.threads), FmtSpread(r.seconds, 3),
+                          FmtSpread(r.speedup_vs_1, 2),
+                          bitexact[t] ? "yes" : "NO"});
     }
   }
   sweep_table.Print();

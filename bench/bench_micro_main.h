@@ -8,10 +8,10 @@
 //
 //   bench_micro_rod --json=m1.json --benchmark_filter=BM_RodPlace
 //
-// The session attaches its sink to the shared thread pool, so parallel
-// kernels under benchmark (e.g. the volume engine's ParallelFor) show up
-// in the exported trace; export happens after RunSpecifiedBenchmarks
-// returns, satisfying the exporters' quiescence requirement.
+// The session attaches its sink to the shared thread pool, so pool tasks
+// run by a benchmark (e.g. a sweep) show up in the exported trace; export
+// happens after RunSpecifiedBenchmarks returns, satisfying the exporters'
+// quiescence requirement.
 
 #ifndef ROD_BENCH_BENCH_MICRO_MAIN_H_
 #define ROD_BENCH_BENCH_MICRO_MAIN_H_

@@ -6,6 +6,7 @@
 #ifndef ROD_BENCH_BENCH_UTIL_H_
 #define ROD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -145,7 +146,7 @@ inline std::vector<std::string> HighWaterGauges() {
 /// return when no flag was given keeps every instrumented path on its
 /// telemetry-off branch. File export happens after the bench's parallel
 /// work has finished (ParallelFor and the sweep entry points block until
-/// every chunk completes), satisfying the exporters' quiescence
+/// every index completes), satisfying the exporters' quiescence
 /// requirement; the live endpoints use the concurrent-safe accessors
 /// (Snapshot / SnapshotTrace / Window / WriteJson), so scraping mid-run
 /// is fine.
@@ -333,6 +334,35 @@ inline std::string Fmt(double v, int precision = 3) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;
   return os.str();
+}
+
+/// Median, min and max of one figure measured once per rep.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// The spread of a non-empty set of per-rep values.
+inline Spread SpreadOf(const std::vector<double>& values) {
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  return {Percentile(values, 0.5), *lo, *hi};
+}
+
+/// Writes `key: {"median", "min", "max"}` into a bench JSON.
+inline void WriteSpread(telemetry::JsonWriter& w, const char* key,
+                        const Spread& s) {
+  w.Key(key).BeginObjectInline();
+  w.Key("median").Double(s.median);
+  w.Key("min").Double(s.min);
+  w.Key("max").Double(s.max);
+  w.EndObject();
+}
+
+/// "median [min,max]" for console tables.
+inline std::string FmtSpread(const Spread& s, int digits) {
+  return Fmt(s.median, digits) + " [" + Fmt(s.min, digits) + "," +
+         Fmt(s.max, digits) + "]";
 }
 
 /// Section banner for experiment output.

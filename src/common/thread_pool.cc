@@ -128,40 +128,34 @@ ThreadPool& ThreadPool::Shared() {
   return pool;
 }
 
-void ParallelFor(ThreadPool& pool, size_t num_threads, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t, size_t)>& fn) {
-  assert(grain > 0);
-  if (n == 0) return;
-  const size_t num_chunks = (n + grain - 1) / grain;
-  auto run_chunk = [&fn, n, grain](size_t c) {
-    fn(c, c * grain, std::min(n, (c + 1) * grain));
-  };
-  if (num_threads <= 1 || num_chunks <= 1 || t_inside_pool_worker) {
-    for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
+void ParallelFor(ThreadPool& pool, size_t num_threads, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  if (num_threads <= 1 || n <= 1 || t_inside_pool_worker) {
+    for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  // Workers (including the caller) pull chunk indices from a shared
-  // cursor. The state block is shared-owned because a helper task can
-  // outlive this frame's local scope only between its final notify and
-  // the caller's wakeup.
+  // Workers (including the caller) pull indices from a shared cursor. The
+  // state block is shared-owned because a helper task can outlive this
+  // frame's local scope only between its final notify and the caller's
+  // wakeup.
   struct State {
-    std::atomic<size_t> next_chunk{0};
+    std::atomic<size_t> next{0};
     std::mutex mu;
     std::condition_variable cv;
     size_t done_helpers = 0;
   };
   auto state = std::make_shared<State>();
-  auto drain = [state, num_chunks, &run_chunk] {
+  auto drain = [state, n, &fn] {
     for (;;) {
-      const size_t c = state->next_chunk.fetch_add(1);
-      if (c >= num_chunks) return;
-      run_chunk(c);
+      const size_t i = state->next.fetch_add(1);
+      if (i >= n) return;
+      fn(i);
     }
   };
   // The caller is one of the `num_threads` lanes; the rest are pool tasks,
   // submitted as one batch (one lock, one telemetry update).
-  const size_t helpers = std::min(num_threads, num_chunks) - 1;
+  const size_t helpers = std::min(num_threads, n) - 1;
   pool.SubmitMany(helpers, [state, drain] {
     drain();
     {
@@ -176,9 +170,9 @@ void ParallelFor(ThreadPool& pool, size_t num_threads, size_t n, size_t grain,
                  [&] { return state->done_helpers == helpers; });
 }
 
-void ParallelFor(size_t num_threads, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t, size_t)>& fn) {
-  ParallelFor(ThreadPool::Shared(), num_threads, n, grain, fn);
+void ParallelFor(size_t num_threads, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  ParallelFor(ThreadPool::Shared(), num_threads, n, fn);
 }
 
 }  // namespace rod

@@ -1,11 +1,11 @@
 // Copyright (c) the ROD reproduction authors.
 //
-// A small fixed-size worker pool plus a chunked ParallelFor, built for the
-// volume-estimation hot path. Determinism contract: ParallelFor splits
-// [0, n) into chunks whose boundaries depend only on `n` and `grain` —
-// never on the thread count or on scheduling — so a caller that writes
-// per-chunk results into chunk-indexed slots and reduces them in chunk
-// order gets bit-identical output for every `num_threads`.
+// A small fixed-size worker pool plus a per-index ParallelFor, the
+// execution core of the simulation sweep runner (runtime/sweep.h).
+// Determinism contract: ParallelFor calls `fn(i)` exactly once for every
+// index, and only the index-to-thread mapping depends on scheduling, so a
+// caller that writes each result into slot `i` and reduces the slots in
+// index order gets bit-identical output for every `num_threads`.
 
 #ifndef ROD_COMMON_THREAD_POOL_H_
 #define ROD_COMMON_THREAD_POOL_H_
@@ -84,23 +84,20 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Chunked parallel loop over [0, n): invokes `fn(chunk, begin, end)` once
-/// for every chunk `[c*grain, min(n, (c+1)*grain))`. Chunk boundaries are a
-/// pure function of `n` and `grain`; only the chunk-to-thread mapping is
-/// dynamic. At most `num_threads` chunks execute concurrently (the calling
-/// thread participates as one of them). Runs inline on the caller when
-/// `num_threads <= 1`, when there is a single chunk, or when called from
+/// Parallel loop over [0, n): invokes `fn(i)` once for every index. At
+/// most `num_threads` indices execute concurrently (the calling thread
+/// participates as one of them). Runs inline on the caller, in index
+/// order, when `num_threads <= 1`, when `n == 1`, or when called from
 /// inside a pool worker (nested loops never re-enter the pool, so a worker
-/// can never deadlock waiting on its own queue). Blocks until every chunk
-/// has completed. `fn` must not throw and must only write chunk-owned
+/// can never deadlock waiting on its own queue). Blocks until every index
+/// has completed. `fn` must not throw and must only write index-owned
 /// (disjoint) state.
-void ParallelFor(ThreadPool& pool, size_t num_threads, size_t n, size_t grain,
-                 const std::function<void(size_t chunk, size_t begin,
-                                          size_t end)>& fn);
+void ParallelFor(ThreadPool& pool, size_t num_threads, size_t n,
+                 const std::function<void(size_t i)>& fn);
 
 /// ParallelFor over ThreadPool::Shared().
-void ParallelFor(size_t num_threads, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t, size_t)>& fn);
+void ParallelFor(size_t num_threads, size_t n,
+                 const std::function<void(size_t i)>& fn);
 
 }  // namespace rod
 

@@ -5,18 +5,12 @@
 #include <numeric>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "geometry/sample_cache.h"
 #include "geometry/simd_kernel.h"
 
 namespace rod::geom {
 
 namespace {
-
-/// Samples per ParallelFor chunk in the membership kernel: large enough to
-/// amortize dispatch, small enough to load-balance a 2^15-sample estimate
-/// across 8 threads.
-constexpr size_t kKernelGrain = 1024;
 
 /// The sample-set key RatioToIdeal / RatioToIdealAbove integrate over.
 SimplexSampleKey BaseKey(size_t dims, const VolumeOptions& options) {
@@ -65,49 +59,29 @@ size_t CountContainedScalarRange(const Matrix& weights, const Matrix& samples,
   return feasible;
 }
 
-/// Blocked membership kernel: counts rows `x` of `samples` — optionally
+/// Scalar membership kernel: counts rows `x` of `samples` — optionally
 /// affinely mapped to `lower_bound + scale * x` first — that satisfy
 /// `W x <= 1 + tol`, with per-sample early exit over the node rows.
-/// Chunk boundaries are fixed by kKernelGrain and partial counts are
-/// integers reduced in chunk order, so the result is bit-identical for
-/// every `num_threads`.
 size_t CountContainedImpl(const Matrix& weights, const Matrix& samples,
-                          size_t num_threads,
                           std::span<const double> lower_bound, double scale,
                           double tol) {
-  const size_t num_samples = samples.rows();
-  const size_t d = samples.cols();
-  assert(weights.cols() == d);
-  (void)d;
-  const size_t num_chunks = (num_samples + kKernelGrain - 1) / kKernelGrain;
-  std::vector<size_t> counts(num_chunks, 0);
-  ParallelFor(num_threads, num_samples, kKernelGrain,
-              [&](size_t chunk, size_t begin, size_t end) {
-                Vector mapped(lower_bound.empty() ? 0 : samples.cols());
-                counts[chunk] = CountContainedScalarRange(
-                    weights, samples, begin, end, lower_bound, scale, tol,
-                    mapped);
-              });
-  size_t total = 0;
-  for (size_t c : counts) total += c;
-  return total;
+  assert(weights.cols() == samples.cols());
+  Vector mapped(lower_bound.empty() ? 0 : samples.cols());
+  return CountContainedScalarRange(weights, samples, 0, samples.rows(),
+                                   lower_bound, scale, tol, mapped);
 }
 
 /// Dual-layout kernel over a cached SimplexSampleSet: full lane groups go
 /// through the AVX2 kernel when it is enabled, the remainder (and the whole
-/// range when SIMD is off) through the scalar reference loop. Group
-/// boundaries fall inside chunks (kKernelGrain is a multiple of kSimdGroup),
-/// and the per-sample verdicts are bit-identical between the two paths, so
-/// the count matches the scalar kernel for every thread count and ISA.
+/// range when SIMD is off) through the scalar reference loop. The
+/// per-sample verdicts are bit-identical between the two paths, so the
+/// count matches the scalar kernel on every ISA.
 size_t CountContainedImpl(const Matrix& weights, const SimplexSampleSet& set,
-                          size_t num_threads,
                           std::span<const double> lower_bound, double scale,
                           double tol) {
-  static_assert(kKernelGrain % kSimdGroup == 0);
   const Matrix& samples = set.samples;
   if (!SimdKernelEnabled() || set.lanes.empty()) {
-    return CountContainedImpl(weights, samples, num_threads, lower_bound,
-                              scale, tol);
+    return CountContainedImpl(weights, samples, lower_bound, scale, tol);
   }
   const size_t num_samples = samples.rows();
   const size_t d = samples.cols();
@@ -137,26 +111,17 @@ size_t CountContainedImpl(const Matrix& weights, const SimplexSampleSet& set,
       std::copy(src.begin(), src.end(), ordered.Row(i).begin());
     }
   }
-  const size_t num_chunks = (num_samples + kKernelGrain - 1) / kKernelGrain;
-  std::vector<size_t> counts(num_chunks, 0);
-  ParallelFor(
-      num_threads, num_samples, kKernelGrain,
-      [&](size_t chunk, size_t begin, size_t end) {
-        Vector mapped(lower_bound.empty() ? 0 : d);
-        Vector map_scratch(lower_bound.empty() ? 0 : d * kSimdGroup);
-        size_t tail = begin;
-        size_t feasible = CountContainedAvx2(
-            ordered.Row(0).data(), ordered.rows(), d, set.lanes.data(),
-            set.lane_stride, begin, end,
-            lower_bound.empty() ? nullptr : lower_bound.data(), scale, tol,
-            map_scratch.empty() ? nullptr : map_scratch.data(), &tail);
-        feasible += CountContainedScalarRange(weights, samples, tail, end,
-                                              lower_bound, scale, tol, mapped);
-        counts[chunk] = feasible;
-      });
-  size_t total = 0;
-  for (size_t c : counts) total += c;
-  return total;
+  Vector mapped(lower_bound.empty() ? 0 : d);
+  Vector map_scratch(lower_bound.empty() ? 0 : d * kSimdGroup);
+  size_t tail = 0;
+  const size_t feasible = CountContainedAvx2(
+      ordered.Row(0).data(), ordered.rows(), d, set.lanes.data(),
+      set.lane_stride, 0, num_samples,
+      lower_bound.empty() ? nullptr : lower_bound.data(), scale, tol,
+      map_scratch.empty() ? nullptr : map_scratch.data(), &tail);
+  return feasible + CountContainedScalarRange(weights, samples, tail,
+                                              num_samples, lower_bound, scale,
+                                              tol, mapped);
 }
 
 }  // namespace
@@ -184,16 +149,15 @@ bool FeasibleSet::Contains(std::span<const double> x, double tol) const {
   return true;
 }
 
-size_t FeasibleSet::CountContained(const Matrix& samples, size_t num_threads,
-                                   double tol) const {
-  return CountContainedImpl(weights_, samples, num_threads, {}, 1.0, tol);
+size_t FeasibleSet::CountContained(const Matrix& samples, double tol) const {
+  return CountContainedImpl(weights_, samples, {}, 1.0, tol);
 }
 
 double FeasibleSet::RatioToIdeal(const VolumeOptions& options) const {
   assert(options.num_samples > 0);
   const auto samples = SimplexSampleCache::Global().Get(BaseKey(dims(), options));
-  const size_t feasible = CountContainedImpl(
-      weights_, *samples, options.num_threads, {}, 1.0, kMembershipTol);
+  const size_t feasible =
+      CountContainedImpl(weights_, *samples, {}, 1.0, kMembershipTol);
   return static_cast<double>(feasible) /
          static_cast<double>(options.num_samples);
 }
@@ -210,24 +174,15 @@ FeasibleSet::RatioEstimate FeasibleSet::RatioToIdealWithError(
     size_t replications, const VolumeOptions& options) const {
   assert(replications >= 2);
   const size_t d = dims();
-  // One lane per replication: each fetches (or generates) its own rotated
-  // sample set and runs the kernel single-threaded. Estimates land in
-  // replication-indexed slots and are merged in replication order, so the
-  // result is bit-identical for every thread count.
-  std::vector<double> estimates(replications, 0.0);
-  ParallelFor(options.num_threads, replications, 1,
-              [&](size_t, size_t begin, size_t end) {
-                for (size_t r = begin; r < end; ++r) {
-                  const auto samples = SimplexSampleCache::Global().Get(
-                      ReplicationKey(d, options, r));
-                  const size_t feasible = CountContainedImpl(
-                      weights_, *samples, 1, {}, 1.0, kMembershipTol);
-                  estimates[r] = static_cast<double>(feasible) /
-                                 static_cast<double>(options.num_samples);
-                }
-              });
+  // Each replication fetches (or generates) its own rotated sample set.
   double sum = 0.0, sum2 = 0.0;
-  for (double estimate : estimates) {
+  for (size_t r = 0; r < replications; ++r) {
+    const auto samples =
+        SimplexSampleCache::Global().Get(ReplicationKey(d, options, r));
+    const size_t feasible =
+        CountContainedImpl(weights_, *samples, {}, 1.0, kMembershipTol);
+    const double estimate = static_cast<double>(feasible) /
+                            static_cast<double>(options.num_samples);
     sum += estimate;
     sum2 += estimate * estimate;
   }
@@ -261,9 +216,8 @@ Result<double> FeasibleSet::RatioToIdealAbove(
   if (scale <= 0.0) return 0.0;
 
   const auto samples = SimplexSampleCache::Global().Get(BaseKey(d, options));
-  const size_t feasible =
-      CountContainedImpl(weights_, *samples, options.num_threads, lower_bound,
-                         scale, kMembershipTol);
+  const size_t feasible = CountContainedImpl(weights_, *samples, lower_bound,
+                                             scale, kMembershipTol);
   return static_cast<double>(feasible) /
          static_cast<double>(options.num_samples);
 }

@@ -40,12 +40,6 @@ struct VolumeOptions {
 
   /// Seed for pseudo-random sampling (ignored by Halton).
   uint64_t seed = 0x5eedf00dULL;
-
-  /// Parallelism of the estimate: > 1 runs the membership kernel (and the
-  /// Cranley–Patterson replications of RatioToIdealWithError) on the
-  /// shared thread pool. Results are bit-identical for every value —
-  /// chunking is fixed and partial counts are reduced in chunk order.
-  size_t num_threads = 1;
 };
 
 /// The normalized feasible set of one placement: rows of `weights` are the
@@ -98,10 +92,8 @@ class FeasibleSet {
 
   /// Membership kernel: the number of rows `x` of `samples` (an S x d
   /// matrix of points) with `W x <= 1 + tol`, testing node rows with
-  /// per-sample early exit. Chunked over the shared pool when
-  /// `num_threads > 1`; the count is identical for every thread count.
-  size_t CountContained(const Matrix& samples, size_t num_threads = 1,
-                        double tol = 1e-12) const;
+  /// per-sample early exit.
+  size_t CountContained(const Matrix& samples, double tol = 1e-12) const;
 
  private:
   Matrix weights_;

@@ -96,7 +96,7 @@ struct SimplexSampleSet {
 /// Builds the dual-layout sample set for `key` (generation + transpose).
 SimplexSampleSet GenerateSimplexSampleSet(const SimplexSampleKey& key);
 
-/// The cache. `Get` is safe to call from ParallelFor workers; generation
+/// The cache. `Get` is safe to call from concurrent threads; generation
 /// runs outside the lock, so concurrent misses on different keys generate
 /// in parallel (a lost race on the same key discards the duplicate and
 /// returns the first-inserted matrix — both are bit-identical anyway).

@@ -18,8 +18,7 @@
 namespace rod::geom {
 
 /// Number of samples per SIMD lane group. The sample-cache lane stride is
-/// padded to a multiple of this, and the kernel grain in feasible_set.cc
-/// is a multiple of it, so full groups never straddle a chunk boundary.
+/// padded to a multiple of this.
 inline constexpr size_t kSimdGroup = 4;
 
 /// True iff an AVX2 kernel was compiled into this binary (x86-64 GCC/Clang

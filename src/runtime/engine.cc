@@ -627,11 +627,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
         accepted = true;
         continue;
       }
-      if (options.shed_queue_threshold > 0 &&
-          nodes[dst_node].queue_length() >= options.shed_queue_threshold) {
-        shed = true;  // overload response: drop at the edge
-        continue;
-      }
       if (bounded) {
         const auto outcome = nodes[dst_node].EnqueueBounded(task, control_rng);
         if (outcome.evicted) ++ov.shed_overflow;

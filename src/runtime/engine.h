@@ -60,13 +60,6 @@ struct SimulationOptions {
   /// tuple counts are unaffected.
   double warmup = 0.0;
 
-  /// Load shedding (Borealis-style overload response): when a node's queue
-  /// holds at least this many tasks, tuples arriving from *external input
-  /// streams* at that node are dropped instead of enqueued (internal
-  /// dataflow is never shed, so no partial work is wasted). 0 disables
-  /// shedding (queues grow without bound under overload).
-  size_t shed_queue_threshold = 0;
-
   /// Bounded per-node ingress queues: at most `queue_bound.capacity`
   /// tuple tasks queued per node, overflow resolved by the configured
   /// OverflowPolicy (see runtime/node.h) — kQosWeighted uses the compiled
@@ -278,7 +271,7 @@ struct SimulationResult {
   /// zeros when the corresponding knobs are off.
   struct OverloadStats {
     size_t shed_edge = 0;       ///< External tuples dropped at ingress
-                                ///< (threshold or full bounded queue).
+                                ///< by a full bounded queue.
     size_t shed_overflow = 0;   ///< Queued tuples evicted by an overflow
                                 ///< policy (internal dataflow included).
     size_t shed_directive = 0;  ///< External tuples dropped by the control

@@ -56,14 +56,12 @@ std::vector<Result<SimulationResult>> SimulateSweep(
   std::vector<Result<SimulationResult>> results(
       cases.size(), Result<SimulationResult>(Status::Internal("case not run")));
   ParallelFor(ResolveSweepThreads(sweep.num_threads), cases.size(),
-              /*grain=*/1, [&](size_t, size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  telemetry::TraceSpan span(sweep.telemetry, "sweep", "case",
-                                            static_cast<uint64_t>(i));
-                  results[i] = RunCase(cases[i]);
-                }
+              [&](size_t i) {
+                telemetry::TraceSpan span(sweep.telemetry, "sweep", "case",
+                                          static_cast<uint64_t>(i));
+                results[i] = RunCase(cases[i]);
                 if (sweep.telemetry != nullptr) {
-                  sweep.telemetry->Count("sweep.cases", end - begin);
+                  sweep.telemetry->Count("sweep.cases");
                 }
               });
   return results;
@@ -88,33 +86,28 @@ std::vector<Result<bool>> ProbeFeasibleSweep(const query::QueryGraph& graph,
   }
   const size_t num_streams = graph.num_input_streams();
   ParallelFor(
-      ResolveSweepThreads(sweep.num_threads), rate_points.size(), /*grain=*/1,
-      [&](size_t, size_t begin, size_t end) {
+      ResolveSweepThreads(sweep.num_threads), rate_points.size(),
+      [&](size_t i) {
+        if (sweep.telemetry != nullptr) sweep.telemetry->Count("sweep.probes");
+        telemetry::TraceSpan span(sweep.telemetry, "sweep", "probe",
+                                  static_cast<uint64_t>(i));
+        const Vector& rates = rate_points[i];
+        if (rates.size() != num_streams) {
+          results[i] = Result<bool>(
+              Status::InvalidArgument("one rate per input stream required"));
+          return;
+        }
         std::vector<trace::RateTrace> traces;
-        if (sweep.telemetry != nullptr) {
-          sweep.telemetry->Count("sweep.probes", end - begin);
+        traces.reserve(rates.size());
+        for (double r : rates) {
+          trace::RateTrace t;
+          t.window_sec = options.duration;
+          t.rates = {r};
+          traces.push_back(std::move(t));
         }
-        for (size_t i = begin; i < end; ++i) {
-          telemetry::TraceSpan span(sweep.telemetry, "sweep", "probe",
-                                    static_cast<uint64_t>(i));
-          const Vector& rates = rate_points[i];
-          if (rates.size() != num_streams) {
-            results[i] = Result<bool>(Status::InvalidArgument(
-                "one rate per input stream required"));
-            continue;
-          }
-          traces.clear();
-          traces.reserve(rates.size());
-          for (double r : rates) {
-            trace::RateTrace t;
-            t.window_sec = options.duration;
-            t.rates = {r};
-            traces.push_back(std::move(t));
-          }
-          auto run = Simulate(*deployment, traces, options);
-          results[i] = run.ok() ? Result<bool>(!run->saturated)
-                                : Result<bool>(run.status());
-        }
+        auto run = Simulate(*deployment, traces, options);
+        results[i] = run.ok() ? Result<bool>(!run->saturated)
+                              : Result<bool>(run.status());
       });
   return results;
 }

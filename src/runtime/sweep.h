@@ -6,10 +6,10 @@
 // isolated simulation — its own seed, its own thread-local engine
 // workspace — and case-to-slot assignment is fixed by index, so a sweep's
 // results are bit-identical for every `SweepOptions::num_threads`,
-// including to a plain sequential loop over Simulate(). This is the same
-// determinism contract PR 2's ParallelFor established for the volume
-// kernel, applied to the engine side of the paper's evaluation (§7's
-// figures are exactly such sweeps).
+// including to a plain sequential loop over Simulate(). These entry points
+// are the library's only ParallelFor callers: the engine side of the
+// paper's evaluation (§7's figures are exactly such sweeps) is where the
+// parallelism pays.
 
 #ifndef ROD_RUNTIME_SWEEP_H_
 #define ROD_RUNTIME_SWEEP_H_
@@ -122,10 +122,8 @@ auto SweepMap(size_t n, Fn&& fn, const SweepOptions& sweep = {})
   std::vector<T> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) out.emplace_back();  // default slots
-  ParallelFor(ResolveSweepThreads(sweep.num_threads), n, /*grain=*/1,
-              [&](size_t, size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) out[i] = fn(i);
-              });
+  ParallelFor(ResolveSweepThreads(sweep.num_threads), n,
+              [&](size_t i) { out[i] = fn(i); });
   return out;
 }
 

@@ -27,7 +27,7 @@
 // policy) and counted, so drop accounting is deterministic for a given
 // per-thread event sequence. Export while recorders are still running is
 // not supported — quiesce first (ParallelFor/SimulateSweep block until
-// every chunk finished, so exporting after they return is safe).
+// every index finished, so exporting after they return is safe).
 //
 // Everything is nullable by convention: the runtime layers carry a
 // `Telemetry*` that defaults to nullptr, and every helper (TraceSpan,

@@ -1,6 +1,6 @@
 // End-to-end cluster tests with real processes: the coordinator runs in
-// the test process while each worker is fork()ed and runs RunWorker()
-// until shutdown. The chaos case kill -9's one worker mid-run and
+// the test process while each worker is a spawned rod_worker binary that
+// runs until shutdown. The chaos case kill -9's one worker mid-run and
 // asserts the full recovery pipeline — missed-heartbeat detection,
 // supervisor-driven plan diff (pause -> drain -> reassign -> resume),
 // survivor completion, and a populated IncidentReport.
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "cluster/coordinator.h"
-#include "cluster/worker.h"
 #include "common/random.h"
 #include "query/graph_gen.h"
 #include "telemetry/json_reader.h"
@@ -50,17 +50,22 @@ CoordinatorOptions FastOptions() {
   return options;
 }
 
-/// Forks a worker process running RunWorker against `port`; returns its
-/// pid. The child never returns into gtest (straight to _exit).
+/// Starts the built rod_worker binary against `port`; returns its pid.
+/// The coordinator already runs threads by now, so the child execs at
+/// once (posix_spawn) instead of running library code in a forked copy
+/// of a multithreaded process.
 pid_t SpawnWorker(uint16_t port, bool serve_http = false) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  WorkerOptions options;
-  options.coordinator_port = port;
-  options.serve_http = serve_http;
-  options.name = "e2e-worker-" + std::to_string(::getpid());
-  const Status status = RunWorker(options);
-  ::_exit(status.ok() ? 0 : 1);
+  std::vector<std::string> args = {ROD_WORKER_BINARY, "--coordinator",
+                                   std::to_string(port)};
+  if (!serve_http) args.push_back("--no-http");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  pid_t pid = -1;
+  const int rc = ::posix_spawn(&pid, ROD_WORKER_BINARY, nullptr, nullptr,
+                               argv.data(), environ);
+  EXPECT_EQ(rc, 0) << "posix_spawn " << ROD_WORKER_BINARY;
+  return pid;
 }
 
 /// One raw loopback HTTP GET; returns the whole response (or "").

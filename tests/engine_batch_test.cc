@@ -135,8 +135,8 @@ TEST(EngineBatchTest, SweepIsBitExactAtModerateLoad) {
 
 TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
   // Leaf node driven past saturation with every PR-6 mechanism live:
-  // bounded queues, backpressure with source stalls, threshold shedding,
-  // and the sustained-overload detector. All of their accounting is
+  // bounded queues, backpressure with source stalls, and the
+  // sustained-overload detector. All of their accounting is
   // per-tuple inside a batch, so OverloadStats must not move either.
   const FanOutScenario s(/*src_cost=*/1e-4, /*leaf_cost=*/1.2e-3);
   SimulationOptions options;
@@ -145,7 +145,6 @@ TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
   options.queue_bound.policy = OverflowPolicy::kDropOldest;
   options.backpressure.enabled = true;
   options.backpressure.high_water = 96;
-  options.shed_queue_threshold = 192;
   const SimulationResult baseline = RunWith(s, options, 1, 1200.0);
   EXPECT_GT(baseline.overload.total_shed() +
                 baseline.overload.backpressure_deferred,

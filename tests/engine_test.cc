@@ -348,53 +348,6 @@ TEST(EngineTest, WarmupExcludesColdStartFromLatency) {
                    .ok());
 }
 
-TEST(EngineTest, LoadSheddingBoundsQueuesUnderOverload) {
-  const QueryGraph g = OneOpGraph(1e-3, 1.0);
-  const SystemSpec system = SystemSpec::Homogeneous(1);
-  SimulationOptions options;
-  options.duration = 30.0;
-  options.shed_queue_threshold = 50;
-  // rho = 2.0: without shedding the queue would grow to ~30k tasks.
-  auto r = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(2000.0, 30.0)}, options);
-  ASSERT_TRUE(r.ok());
-  // Roughly half the offered tuples must be shed; the backlog stays at
-  // the shedding threshold instead of growing without bound.
-  const double offered =
-      static_cast<double>(r->input_tuples + r->shed_tuples);
-  EXPECT_NEAR(static_cast<double>(r->shed_tuples) / offered, 0.5, 0.05);
-  EXPECT_LE(r->final_backlog, options.shed_queue_threshold + 1);
-  // The accepted tuples are all processed: throughput = capacity.
-  EXPECT_NEAR(static_cast<double>(r->output_tuples) / options.duration,
-              1000.0, 60.0);
-  // Latency stays bounded by (threshold * service time).
-  EXPECT_LT(r->p99_latency, 0.06);
-}
-
-TEST(EngineTest, SheddingConservesOfferedTuples) {
-  // With deterministic evenly-spaced arrivals the offered volume is known
-  // exactly: every offered tuple is either accepted or shed, never lost.
-  const QueryGraph g = OneOpGraph(1e-3, 1.0);
-  const SystemSpec system = SystemSpec::Homogeneous(1);
-  SimulationOptions options;
-  options.duration = 20.0;
-  options.poisson_arrivals = false;
-  options.shed_queue_threshold = 40;
-  const double rate = 1800.0;  // rho = 1.8: well past the threshold
-  auto r = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(rate, options.duration)}, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->shed_tuples, 0u);
-  EXPECT_LE(r->final_backlog, options.shed_queue_threshold + 1);
-  // Conservation: accepted + shed = offered (evenly spaced arrivals give
-  // exactly rate * duration offered tuples, +/- the boundary arrival).
-  const auto offered = static_cast<size_t>(rate * options.duration);
-  EXPECT_NEAR(static_cast<double>(r->input_tuples + r->shed_tuples),
-              static_cast<double>(offered), 1.0);
-  // Accepted tuples are all accounted for: emitted or still queued.
-  EXPECT_EQ(r->input_tuples, r->output_tuples + r->final_backlog);
-}
-
 TEST(EngineTest, MaxEventsAbortNamesTheHotSpot) {
   // An overloaded run that trips the event guard must say where the
   // backlog piled up, not just that it aborted.
@@ -410,25 +363,6 @@ TEST(EngineTest, MaxEventsAbortNamesTheHotSpot) {
   EXPECT_NE(msg.find("hottest node 0"), std::string::npos) << msg;
   EXPECT_NE(msg.find("operator 0"), std::string::npos) << msg;
   EXPECT_NE(msg.find("queued"), std::string::npos) << msg;
-}
-
-TEST(EngineTest, NoSheddingBelowThresholdOrWhenDisabled) {
-  const QueryGraph g = OneOpGraph(1e-3, 1.0);
-  const SystemSpec system = SystemSpec::Homogeneous(1);
-  SimulationOptions options;
-  options.duration = 20.0;
-  options.shed_queue_threshold = 50;
-  auto light = SimulatePlacement(g, Placement(1, {0}), system,
-                                 {ConstantTrace(300.0, 20.0)}, options);
-  ASSERT_TRUE(light.ok());
-  EXPECT_EQ(light->shed_tuples, 0u);
-
-  options.shed_queue_threshold = 0;  // disabled
-  auto unbounded = SimulatePlacement(g, Placement(1, {0}), system,
-                                     {ConstantTrace(2000.0, 20.0)}, options);
-  ASSERT_TRUE(unbounded.ok());
-  EXPECT_EQ(unbounded->shed_tuples, 0u);
-  EXPECT_GT(unbounded->final_backlog, 1000u);
 }
 
 TEST(EngineTest, ValidatesInputs) {

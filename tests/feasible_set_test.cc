@@ -201,49 +201,6 @@ TEST(RandomizedQmcTest, HighDimensionFallsBackToPseudoRandom) {
   EXPECT_NEAR(est.mean, std::pow(0.95, 16.0), 0.05);
 }
 
-TEST(ParallelVolumeTest, RatioBitExactAcrossThreadCounts) {
-  const Matrix w = Matrix::FromRows({{1.3, 0.8, 0.4, 0.9, 0.2, 0.6},
-                                     {0.6, 1.4, 0.7, 0.3, 0.8, 0.5},
-                                     {0.9, 0.5, 1.2, 0.6, 0.4, 1.1}});
-  const FeasibleSet fs(w);
-  VolumeOptions options;
-  options.num_samples = 1u << 14;
-  options.num_threads = 1;
-  const double sequential = fs.RatioToIdeal(options);
-  for (size_t threads : {2u, 8u}) {
-    options.num_threads = threads;
-    EXPECT_EQ(fs.RatioToIdeal(options), sequential) << threads;
-  }
-}
-
-TEST(ParallelVolumeTest, WithErrorBitExactAcrossThreadCounts) {
-  const Matrix w = Matrix::FromRows({{1.2, 0.9, 0.4}, {0.5, 1.1, 1.3}});
-  const FeasibleSet fs(w);
-  VolumeOptions options;
-  options.num_samples = 4096;
-  options.num_threads = 1;
-  const auto sequential = fs.RatioToIdealWithError(8, options);
-  for (size_t threads : {2u, 8u}) {
-    options.num_threads = threads;
-    const auto parallel = fs.RatioToIdealWithError(8, options);
-    EXPECT_EQ(parallel.mean, sequential.mean) << threads;
-    EXPECT_EQ(parallel.std_error, sequential.std_error) << threads;
-  }
-}
-
-TEST(ParallelVolumeTest, AboveBitExactAcrossThreadCounts) {
-  const FeasibleSet fs(Matrix::FromRows({{2.0, 0.0}, {0.0, 2.0}}));
-  VolumeOptions options;
-  options.num_samples = 1u << 14;
-  options.num_threads = 1;
-  const double sequential = *fs.RatioToIdealAbove(Vector{0.25, 0.0}, options);
-  for (size_t threads : {2u, 8u}) {
-    options.num_threads = threads;
-    EXPECT_EQ(*fs.RatioToIdealAbove(Vector{0.25, 0.0}, options), sequential)
-        << threads;
-  }
-}
-
 TEST(ParallelVolumeTest, SampleSetSharedAcrossPlacements) {
   // Two different weight matrices with the same options must hit the same
   // cached sample set: the second estimate costs no generation.
@@ -270,9 +227,7 @@ TEST(ParallelVolumeTest, MembershipKernelMatchesContains) {
   for (size_t s = 0; s < samples.rows(); ++s) {
     if (fs.Contains(samples.Row(s))) ++expected;
   }
-  for (size_t threads : {1u, 2u, 8u}) {
-    EXPECT_EQ(fs.CountContained(samples, threads), expected) << threads;
-  }
+  EXPECT_EQ(fs.CountContained(samples), expected);
 }
 
 }  // namespace

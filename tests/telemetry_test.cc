@@ -177,16 +177,13 @@ MetricsSnapshot RunPartitioned(size_t num_threads) {
   Counter ctr = tel.counter("n");
   ThreadPool pool(num_threads);
   constexpr size_t kN = 5000;
-  ParallelFor(pool, num_threads, kN, /*grain=*/64,
-              [&](size_t, size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  // Multiples of 0.5: the shard-order double sum is exact,
-                  // so it cannot depend on the merge order.
-                  hist.Record(0.5 * static_cast<double>((i * 13) % 257));
-                  ctr.Add();
-                }
-              });
-  // ParallelFor blocks until every chunk ran, so the shards are quiescent.
+  ParallelFor(pool, num_threads, kN, [&](size_t i) {
+    // Multiples of 0.5: the shard-order double sum is exact, so it cannot
+    // depend on the merge order.
+    hist.Record(0.5 * static_cast<double>((i * 13) % 257));
+    ctr.Add();
+  });
+  // ParallelFor blocks until every index ran, so the shards are quiescent.
   return tel.Snapshot();
 }
 

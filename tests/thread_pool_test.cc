@@ -1,7 +1,7 @@
-// Tests for the worker pool and the chunked ParallelFor determinism
-// contract: chunk boundaries depend only on (n, grain), never on the
-// thread count, and chunk-slot reductions are bit-identical for every
-// parallelism level. The stress cases double as ASan/UBSan/TSan targets.
+// Tests for the worker pool and the per-index ParallelFor determinism
+// contract: every index runs exactly once, and index-slot reductions are
+// bit-identical for every parallelism level. The stress cases double as
+// ASan/UBSan/TSan targets.
 
 #include "common/thread_pool.h"
 
@@ -49,52 +49,24 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (size_t threads : {1u, 2u, 8u}) {
     std::vector<int> visits(1003, 0);
-    ParallelFor(threads, visits.size(), 17,
-                [&](size_t, size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) ++visits[i];
-                });
+    ParallelFor(threads, visits.size(), [&](size_t i) { ++visits[i]; });
     EXPECT_EQ(std::accumulate(visits.begin(), visits.end(), 0), 1003)
         << threads;
     for (int v : visits) EXPECT_EQ(v, 1);
   }
 }
 
-TEST(ParallelForTest, ChunkBoundariesIndependentOfThreadCount) {
-  const size_t n = 777, grain = 32;
-  const size_t num_chunks = (n + grain - 1) / grain;
-  auto boundaries = [&](size_t threads) {
-    std::vector<std::pair<size_t, size_t>> out(num_chunks);
-    ParallelFor(threads, n, grain, [&](size_t chunk, size_t begin,
-                                       size_t end) {
-      out[chunk] = {begin, end};
-    });
-    return out;
-  };
-  const auto seq = boundaries(1);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    EXPECT_EQ(seq[c].first, c * grain);
-    EXPECT_EQ(seq[c].second, std::min(n, (c + 1) * grain));
-  }
-  EXPECT_EQ(boundaries(2), seq);
-  EXPECT_EQ(boundaries(8), seq);
-}
-
-TEST(ParallelForTest, ChunkOrderedReductionIsBitExact) {
-  // Sum sin(i) per chunk slot, reduce in chunk order: every thread count
+TEST(ParallelForTest, IndexSlotReductionIsBitExact) {
+  // Write sin(i) into slot i, reduce in index order: every thread count
   // must produce the exact same double.
-  const size_t n = 5000, grain = 64;
+  const size_t n = 5000;
   auto reduce = [&](size_t threads) {
-    std::vector<double> partial((n + grain - 1) / grain, 0.0);
-    ParallelFor(threads, n, grain, [&](size_t chunk, size_t begin,
-                                       size_t end) {
-      double s = 0.0;
-      for (size_t i = begin; i < end; ++i) {
-        s += std::sin(static_cast<double>(i));
-      }
-      partial[chunk] = s;
+    std::vector<double> slots(n, 0.0);
+    ParallelFor(threads, n, [&](size_t i) {
+      slots[i] = std::sin(static_cast<double>(i));
     });
     double total = 0.0;
-    for (double p : partial) total += p;
+    for (double v : slots) total += v;
     return total;
   };
   const double seq = reduce(1);
@@ -104,23 +76,25 @@ TEST(ParallelForTest, ChunkOrderedReductionIsBitExact) {
 
 TEST(ParallelForTest, SingleThreadRunsInlineOnCaller) {
   const auto caller = std::this_thread::get_id();
-  ParallelFor(1, 100, 10, [&](size_t, size_t, size_t) {
+  std::vector<size_t> order;
+  ParallelFor(1, 100, [&](size_t i) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
   });
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ParallelForTest, NestedCallsCompleteWithoutDeadlock) {
   std::atomic<int> inner_total{0};
-  ParallelFor(4, 8, 1, [&](size_t, size_t, size_t) {
-    ParallelFor(4, 16, 4, [&](size_t, size_t begin, size_t end) {
-      inner_total.fetch_add(static_cast<int>(end - begin));
-    });
+  ParallelFor(4, 8, [&](size_t) {
+    ParallelFor(4, 16, [&](size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 8 * 16);
 }
 
 TEST(ParallelForTest, ZeroItemsIsANoop) {
-  ParallelFor(8, 0, 16, [&](size_t, size_t, size_t) { FAIL(); });
+  ParallelFor(8, 0, [&](size_t) { FAIL(); });
 }
 
 TEST(ParallelForTest, ExplicitPoolStress) {
@@ -129,10 +103,7 @@ TEST(ParallelForTest, ExplicitPoolStress) {
   ThreadPool pool(8);
   for (int round = 0; round < 100; ++round) {
     std::vector<int> hits(257, 0);
-    ParallelFor(pool, 8, hits.size(), 7,
-                [&](size_t, size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) ++hits[i];
-                });
+    ParallelFor(pool, 8, hits.size(), [&](size_t i) { ++hits[i]; });
     for (int h : hits) ASSERT_EQ(h, 1);
   }
 }
@@ -149,10 +120,7 @@ TEST(ThreadPoolTest, SetTelemetryQuiescesBeforeSwap) {
     telemetry::Telemetry scoped;
     pool.set_telemetry(&scoped);
     std::atomic<int> sum{0};
-    ParallelFor(pool, 4, 64, 1,
-                [&](size_t, size_t begin, size_t end) {
-                  sum += static_cast<int>(end - begin);
-                });
+    ParallelFor(pool, 4, 64, [&](size_t) { sum += 1; });
     EXPECT_EQ(sum.load(), 64);
     pool.set_telemetry(nullptr);
     // `scoped` dies here; no worker may still be recording into it.

@@ -465,7 +465,6 @@ TEST(TraceStoreReplayTest, GateA_HoldsUnderBackpressureAndShedding) {
   base.queue_bound.capacity = 256;
   base.backpressure.enabled = true;
   base.backpressure.high_water = 96;
-  base.shed_queue_threshold = 192;
   const auto arrivals =
       MaterializeArrivals({ConstantTrace(1200.0, base.duration)},
                           base.poisson_arrivals, base.seed, base.duration);
