@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "cluster/wire.h"
 #include "common/net.h"
 #include "trace/store/format.h"
 
@@ -11,25 +12,6 @@ namespace rod::cluster {
 namespace {
 
 using trace::store::Crc32;
-
-void StoreU16(char* out, uint16_t v) {
-  out[0] = static_cast<char>(v & 0xff);
-  out[1] = static_cast<char>((v >> 8) & 0xff);
-}
-
-void StoreU32(char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-uint32_t LoadU32(const std::byte* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(std::to_integer<uint8_t>(in[i])) << (8 * i);
-  }
-  return v;
-}
 
 std::span<const std::byte> AsBytes(std::string_view s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
@@ -97,16 +79,14 @@ const char* MsgTypeName(MsgType type) {
 }
 
 std::string EncodeFrame(MsgType type, std::string_view payload) {
-  std::string out(kFrameHeaderBytes + payload.size(), '\0');
-  StoreU32(out.data(), kFrameMagic);
-  out[4] = static_cast<char>(kFrameVersion);
-  out[5] = static_cast<char>(type);
-  StoreU16(out.data() + 6, 0);  // flags, reserved
-  StoreU32(out.data() + 8, static_cast<uint32_t>(payload.size()));
-  StoreU32(out.data() + 12, Crc32(AsBytes(payload)));
-  StoreU32(out.data() + 16,
-           Crc32({reinterpret_cast<const std::byte*>(out.data()), 16}));
-  std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  WireWriter w;
+  w(kFrameMagic, kFrameVersion, static_cast<uint8_t>(type),
+    uint16_t{0},  // flags, reserved
+    static_cast<uint32_t>(payload.size()), Crc32(AsBytes(payload)));
+  w(Crc32(AsBytes(w.str())));
+  std::string out = w.Take();
+  out.reserve(kFrameHeaderBytes + payload.size());
+  out.append(payload);
   return out;
 }
 
@@ -118,30 +98,33 @@ Result<FrameHeader> DecodeFrameHeader(std::span<const std::byte> bytes,
                                    " bytes, got " +
                                    std::to_string(bytes.size()));
   }
-  const uint32_t stored_header_crc = LoadU32(bytes.data() + 16);
-  if (Crc32(bytes.first(16)) != stored_header_crc) {
+  WireReader r({reinterpret_cast<const char*>(bytes.data()),
+                kFrameHeaderBytes});
+  uint32_t magic = 0;
+  uint8_t version = 0;
+  uint8_t type_byte = 0;
+  uint16_t flags = 0;
+  uint32_t header_crc = 0;
+  FrameHeader header;
+  r(magic, version, type_byte, flags, header.payload_len, header.payload_crc,
+    header_crc);
+  if (Crc32(bytes.first(16)) != header_crc) {
     return Status::DataLoss("frame header CRC mismatch");
   }
-  const uint32_t magic = LoadU32(bytes.data());
   if (magic != kFrameMagic) {
     return Status::InvalidArgument("frame magic mismatch (not a cluster "
                                    "frame stream)");
   }
-  const uint8_t version = std::to_integer<uint8_t>(bytes[4]);
   if (version != kFrameVersion) {
     return Status::InvalidArgument("unsupported frame version " +
                                    std::to_string(version));
   }
-  const uint8_t type_byte = std::to_integer<uint8_t>(bytes[5]);
   if (type_byte < static_cast<uint8_t>(MsgType::kHello) ||
       type_byte > kMaxMsgType) {
     return Status::InvalidArgument("unknown message type " +
                                    std::to_string(type_byte));
   }
-  FrameHeader header;
   header.type = static_cast<MsgType>(type_byte);
-  header.payload_len = LoadU32(bytes.data() + 8);
-  header.payload_crc = LoadU32(bytes.data() + 12);
   if (header.payload_len > max_payload) {
     return Status::InvalidArgument(
         "frame payload of " + std::to_string(header.payload_len) +
