@@ -242,6 +242,10 @@ class Coordinator {
   /// pongs, stats reports, and frozen reports via HandleAsyncFrame);
   /// kUnavailable if the worker dies first.
   Status AwaitFrame(uint32_t worker, MsgType want, Frame* out);
+  /// Awaits `worker`'s `type` ack (kPlanAck or kPauseAck, both a
+  /// PlanAckMsg) and checks that it decodes, names `worker`, and acks
+  /// plan_version_; kInvalidArgument otherwise.
+  Status AwaitAck(uint32_t worker, MsgType type);
   Status Finish();
   void StartHttpPlane();
 

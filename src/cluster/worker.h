@@ -115,7 +115,10 @@ class Worker {
 
   Status HandleControlFrame(const Frame& frame);
   Status InstallPlan(const PlanMsg& plan);
-  void ApplyPlanDiff(const PlanDiffMsg& diff);
+  /// Validates every move (operator and target worker in range, version
+  /// newer than the installed plan) before changing any routing state;
+  /// kInvalidArgument, with nothing changed, on a bad diff.
+  Status ApplyPlanDiff(const PlanDiffMsg& diff);
   void HandleDataFrame(const Frame& frame);
 
   /// Routes `count` tuples into operator `op` at `port`: buffers when the

@@ -5,12 +5,21 @@
 // the PR-6 graceful-degradation accounting (OverloadStats) — must be
 // bit-identical across batch sizes, with and without bounded queues,
 // backpressure, and the sustained-overload control loop engaged.
+// Observation is held to the same bar: attaching a Telemetry and a
+// FlightRecorder must not move a bit of an overloaded run or of a
+// supervised crash, incident loss counters included.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "query/load_model.h"
+#include "runtime/chaos.h"
 #include "runtime/engine.h"
+#include "runtime/supervisor.h"
+#include "telemetry/flight_recorder.h"
+#include "telemetry/telemetry.h"
 
 namespace rod::sim {
 namespace {
@@ -56,8 +65,8 @@ struct FanOutScenario {
 };
 
 void ExpectBitExact(const SimulationResult& a, const SimulationResult& b,
-                    size_t batch) {
-  SCOPED_TRACE("batch_size " + std::to_string(batch));
+                    const std::string& what) {
+  SCOPED_TRACE(what);
   EXPECT_EQ(a.input_tuples, b.input_tuples);
   EXPECT_EQ(a.shed_tuples, b.shed_tuples);
   EXPECT_EQ(a.output_tuples, b.output_tuples);
@@ -107,7 +116,27 @@ void ExpectBitExact(const SimulationResult& a, const SimulationResult& b,
   EXPECT_EQ(ao.overload_detect_time, bo.overload_detect_time);
   EXPECT_EQ(ao.control_consults, bo.control_consults);
   EXPECT_EQ(ao.shed_rate_applied, bo.shed_rate_applied);
-  EXPECT_EQ(a.incident.has_value(), b.incident.has_value());
+  ASSERT_EQ(a.incident.has_value(), b.incident.has_value());
+  if (!a.incident.has_value()) return;
+  const IncidentReport& ai = *a.incident;
+  const IncidentReport& bi = *b.incident;
+  EXPECT_EQ(ai.detect_time, bi.detect_time);
+  EXPECT_EQ(ai.plan_applied_time, bi.plan_applied_time);
+  EXPECT_EQ(ai.operators_moved, bi.operators_moved);
+  EXPECT_EQ(ai.lost_queued, bi.lost_queued);
+  EXPECT_EQ(ai.lost_inflight, bi.lost_inflight);
+  EXPECT_EQ(ai.lost_network, bi.lost_network);
+  EXPECT_EQ(ai.rejected_inputs, bi.rejected_inputs);
+  EXPECT_EQ(ai.lost_tuples, bi.lost_tuples);
+  EXPECT_EQ(ai.migration_buffered, bi.migration_buffered);
+  EXPECT_EQ(ai.migration_shed, bi.migration_shed);
+  EXPECT_EQ(ai.recovered, bi.recovered);
+  EXPECT_EQ(ai.recovery_time, bi.recovery_time);
+  EXPECT_EQ(ai.availability, bi.availability);
+}
+
+std::string BatchLabel(size_t batch) {
+  return "batch_size " + std::to_string(batch);
 }
 
 SimulationResult RunWith(const FanOutScenario& s,
@@ -121,6 +150,17 @@ SimulationResult RunWith(const FanOutScenario& s,
   return std::move(*r);
 }
 
+/// Bounded queues and backpressure: the degradation machinery engaged.
+SimulationOptions OverloadOptions() {
+  SimulationOptions options;
+  options.duration = 30.0;
+  options.queue_bound.capacity = 256;
+  options.queue_bound.policy = OverflowPolicy::kDropOldest;
+  options.backpressure.enabled = true;
+  options.backpressure.high_water = 96;
+  return options;
+}
+
 TEST(EngineBatchTest, SweepIsBitExactAtModerateLoad) {
   const FanOutScenario s;
   SimulationOptions options;
@@ -129,7 +169,8 @@ TEST(EngineBatchTest, SweepIsBitExactAtModerateLoad) {
   EXPECT_GT(baseline.output_tuples, 1000u);
   for (size_t batch : kBatchSweep) {
     if (batch == 1) continue;
-    ExpectBitExact(baseline, RunWith(s, options, batch, 400.0), batch);
+    ExpectBitExact(baseline, RunWith(s, options, batch, 400.0),
+                   BatchLabel(batch));
   }
 }
 
@@ -139,12 +180,7 @@ TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
   // sustained-overload detector. All of their accounting is
   // per-tuple inside a batch, so OverloadStats must not move either.
   const FanOutScenario s(/*src_cost=*/1e-4, /*leaf_cost=*/1.2e-3);
-  SimulationOptions options;
-  options.duration = 30.0;
-  options.queue_bound.capacity = 256;
-  options.queue_bound.policy = OverflowPolicy::kDropOldest;
-  options.backpressure.enabled = true;
-  options.backpressure.high_water = 96;
+  const SimulationOptions options = OverloadOptions();
   const SimulationResult baseline = RunWith(s, options, 1, 1200.0);
   EXPECT_GT(baseline.overload.total_shed() +
                 baseline.overload.backpressure_deferred,
@@ -152,7 +188,8 @@ TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
       << "scenario failed to engage the degradation machinery";
   for (size_t batch : kBatchSweep) {
     if (batch == 1) continue;
-    ExpectBitExact(baseline, RunWith(s, options, batch, 1200.0), batch);
+    ExpectBitExact(baseline, RunWith(s, options, batch, 1200.0),
+                   BatchLabel(batch));
   }
 }
 
@@ -163,8 +200,57 @@ TEST(EngineBatchTest, SweepIsBitExactAtHigherRate) {
   const SimulationResult baseline = RunWith(s, options, 1, 500.0);
   for (size_t batch : kBatchSweep) {
     if (batch == 1) continue;
-    ExpectBitExact(baseline, RunWith(s, options, batch, 500.0), batch);
+    ExpectBitExact(baseline, RunWith(s, options, batch, 500.0),
+                   BatchLabel(batch));
   }
+}
+
+TEST(EngineBatchTest, TelemetryNeverChangesAnOverloadedRun) {
+  const FanOutScenario s(/*src_cost=*/1e-4, /*leaf_cost=*/1.2e-3);
+  const SimulationOptions options = OverloadOptions();
+  const SimulationResult bare = RunWith(s, options, 64, 1200.0);
+
+  telemetry::Telemetry tel;
+  telemetry::FlightRecorder recorder(&tel);
+  SimulationOptions observed = options;
+  observed.telemetry = &tel;
+  observed.flight_recorder = &recorder;
+  ExpectBitExact(bare, RunWith(s, observed, 64, 1200.0), "telemetry on");
+}
+
+TEST(EngineBatchTest, TelemetryNeverChangesASupervisedCrash) {
+  // Node 1 hosts the three leaves; it crashes mid-run and the supervisor
+  // re-homes them onto node 0.
+  const FanOutScenario s;
+  auto model = query::BuildLoadModel(s.graph);
+  ASSERT_TRUE(model.ok());
+  FailureSchedule chaos;
+  chaos.CrashAt(10.0, 1);
+
+  auto run = [&](telemetry::Telemetry* tel,
+                 telemetry::FlightRecorder* recorder) {
+    Supervisor::Options sup_options;
+    sup_options.detection_delay = 1.0;
+    sup_options.telemetry = tel;
+    sup_options.flight_recorder = recorder;
+    Supervisor supervisor(*model, sup_options);
+    SimulationOptions options;
+    options.duration = 30.0;
+    options.failures = &chaos;
+    options.recovery = &supervisor;
+    options.telemetry = tel;
+    options.flight_recorder = recorder;
+    return RunWith(s, options, 64, 400.0);
+  };
+  const SimulationResult bare = run(nullptr, nullptr);
+  ASSERT_TRUE(bare.incident.has_value());
+  EXPECT_GT(bare.incident->lost_tuples, 0u);
+  EXPECT_GT(bare.incident->operators_moved, 0u);
+
+  telemetry::Telemetry tel;
+  telemetry::FlightRecorder recorder(&tel);
+  ExpectBitExact(bare, run(&tel, &recorder), "telemetry on");
+  EXPECT_EQ(recorder.incident_count(), 1u);
 }
 
 }  // namespace
